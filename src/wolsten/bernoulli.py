@@ -4,7 +4,9 @@ Two independent routes reach B_{p-3} mod p: exact reduction of the
 rational Bernoulli number, and -3 * w_p mod p through the Wolstenholme
 quotient.  Their agreement is a tested invariant, not an assumption.
 The scanner flags primes with H(1;p-1) == 0 mod p^3, equivalently primes
-dividing the numerator of B_{p-3}.
+dividing the numerator of B_{p-3}.  It gets w_p mod p from E. Lehmer's
+congruence sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) (Ann. of Math. 39,
+1938), summed mod p in int64 numpy blocks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,9 +99,10 @@ def bernoulli_pm3_mod_p(
 # --------------------------------------------------------------------------
 # Irregular-pair scan
 
-# Above this the int64 kernel would overflow (products reach p^4); the
-# arbitrary-precision kernel takes over transparently.
-_NUMPY_KERNEL_MAX_P = 50_000
+# The kernel multiplies two residues below p in int64, so it needs
+# (p - 1)^2 < 2^63, which holds up to p = 3037000500; the bound is rounded.
+KERNEL_P_LIMIT = 3_030_000_000
+_KERNEL_BLOCK = 1 << 16
 
 SCAN_BLOCK_SIZE = 64
 
@@ -113,42 +117,83 @@ class IrregularRecord:
     irregular: bool
 
 
-def _half_sum_numpy(p: int) -> int:
-    # S = sum_{k=1}^{(p-1)/2} 1/(k(p-k)) mod p^2, whence H(1;p-1) = p*S.
-    p2 = p * p
-    half = (p - 1) // 2
-    inv = [0] * (half + 1)
-    inv[1] = 1
-    for i in range(2, half + 1):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    k = np.arange(1, half + 1, dtype=np.int64)
-    i1 = np.array(inv[1:], dtype=np.int64)
-    i2 = i1 * ((2 - k * i1) % p2) % p2  # Hensel lift of 1/k to mod p^2
-    ipk = (p2 - (i2 + i2 * i2 % p2 * p) % p2) % p2  # 1/(p-k) = -(1/k + p/k^2)
-    return int((i2 * ipk % p2).sum()) % p2
+def _primitive_root(p: int) -> int:
+    # The least g with g^((p-1)/q) != 1 (mod p) for every prime q | p - 1.
+    n, factors, d = p - 1, [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return next(
+        g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    )
 
 
-def _half_sum_python(p: int) -> int:
-    p2 = p * p
-    half = (p - 1) // 2
-    inv = [0] * (half + 1)
-    inv[1] = 1
-    for i in range(2, half + 1):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    s = 0
-    for k in range(1, half + 1):
-        i1 = inv[k]
-        i2 = i1 * (2 - k * i1) % p2
-        ipk = (p2 - (i2 + i2 * i2 % p2 * p) % p2) % p2
-        s += i2 * ipk % p2
-    return s % p2
+def _mulmod(a: np.ndarray, c: int, p: int, out: np.ndarray) -> np.ndarray:
+    # out = a * c mod p; floor division by a scalar is several times
+    # faster in numpy than the remainder.
+    np.multiply(a, c, out=out)
+    out -= out // p * p
+    return out
+
+
+def _powers(x: int, n: int, p: int) -> np.ndarray:
+    # [x^0, ..., x^(n-1)] mod p, doubling the known prefix each step.
+    out = np.empty(n, dtype=np.int64)
+    out[0] = 1
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        _mulmod(out[:k], pow(x, m, p), p, out[m : m + k])
+        m += k
+    return out
 
 
 def _w_mod_p(p: int) -> int:
-    s = _half_sum_numpy(p) if p <= _NUMPY_KERNEL_MAX_P else _half_sum_python(p)
-    if s % p:
-        raise WolstenError(f"H(1;{p - 1}) not divisible by {p}^2: scan inconsistency")
-    return s // p % p
+    """w_p mod p as S/6, where S = sum_{k<=(p-1)/2} k^-3 == 6 w_p (mod p).
+
+    With g a primitive root and h = g^-3, the k <= (p-1)/2 are the g^i
+    that are <= (p-1)/2, with k^-3 = h^i.  As g^((p-1)/2) == -1, the
+    exponents past (p-1)/2 repeat the first half negated, so
+    S = sum_{i<(p-1)/2} (h^i if g^i <= (p-1)/2 else -h^i).  The g^i and
+    h^i run in blocks of m = 2^16 exponents, each block the previous one
+    times g^m resp. h^m (two modular products per element), so memory is
+    bounded by the block, never by p.
+
+    Self-check, raising WolstenError: the enumeration closes at
+    g^((p-1)/2) == h^((p-1)/2) == -1, and the folded values
+    min(g^i, p - g^i) sum to 1 + 2 + ... + (p-1)/2, as they must when
+    they run over 1..(p-1)/2 once each.
+    """
+    if not 5 <= p < KERNEL_P_LIMIT or not is_prime(p):
+        raise PreconditionError(
+            f"p={p} must be a prime with 5 <= p < {KERNEL_P_LIMIT} (int64 scan kernel)"
+        )
+    half = (p - 1) // 2
+    g = _primitive_root(p)
+    h = pow(g, -3, p)
+    m = min(_KERNEL_BLOCK, half)
+    g_blk, h_blk = _powers(g, m, p), _powers(h, m, p)
+    g_step, h_step = pow(g, m, p), pow(h, m, p)
+    s = folded = 0
+    for start in range(0, half, m):
+        if start:
+            _mulmod(g_blk, g_step, p, g_blk)
+            _mulmod(h_blk, h_step, p, h_blk)
+        k = min(m, half - start)
+        gi, hi = g_blk[:k], h_blk[:k]
+        low = (gi <= half).astype(np.int64)
+        s += 2 * int(np.dot(hi, low)) - int(hi.sum())
+        # sum of min(g^i, p - g^i): g^i where low, p - g^i elsewhere
+        folded += 2 * int(np.dot(gi, low)) - int(gi.sum()) + (k - int(low.sum())) * p
+    closes = int(gi[-1]) * g % p == p - 1 and int(hi[-1]) * h % p == p - 1
+    if not closes or folded != half * (half + 1) // 2:
+        raise WolstenError(f"scan kernel self-check failed at p={p}")
+    return s * pow(6, -1, p) % p
 
 
 def _scan_block(primes: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -163,14 +208,21 @@ def irregular_scan(
 ) -> list[IrregularRecord]:
     """Scan every prime in [p_min, p_max] for the irregular pair (p, p-3).
 
-    Computes H(1;p-1) mod p^3 in O(p) per prime and flags primes where it
-    vanishes.  Work is split into contiguous blocks of ~64 primes across
-    worker processes; output is sorted by p and independent of the worker
-    count.  If checkpoint_path is given, the file is rewritten with the
+    Gets w_p mod p, which is -B_{p-3}/3 mod p, from Lehmer's congruence
+    sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) in O(p) int64 work per
+    prime, and flags primes where it vanishes, that is where
+    H(1;p-1) == 0 mod p^3.  p_max must be below KERNEL_P_LIMIT (3.03e9).
+    Work is split into contiguous blocks of ~64 primes across worker
+    processes; output is sorted by p and independent of the worker count.
+    If checkpoint_path is given, the file is replaced atomically with the
     last block completed in order.
     """
     if p_min < 5:
         p_min = 5
+    if p_max >= KERNEL_P_LIMIT:
+        raise PreconditionError(
+            f"p_max={p_max} must be below {KERNEL_P_LIMIT}, the int64 scan kernel's bound"
+        )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
     primes = primes_in_range(p_min, p_max)
@@ -196,14 +248,26 @@ def irregular_scan(
 
 
 def _write_checkpoint(path: str, p_min: int, p_max: int, last_p: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # Write beside the target and rename over it: a kill leaves either the
+    # old checkpoint or the new one, never part of one.
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump({"p_min": p_min, "p_max": p_max, "last_p": last_p}, fh)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def read_checkpoint(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The checkpoint's {"p_min", "p_max", "last_p"}; WolstenError if unusable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ck = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise WolstenError(f"cannot read checkpoint {path}: {exc}") from None
+    keys = ("p_min", "p_max", "last_p")
+    if not isinstance(ck, dict) or not all(isinstance(ck.get(k), int) for k in keys):
+        raise WolstenError(f"checkpoint {path} lacks integer p_min, p_max and last_p")
+    return ck
 
 
 def records_to_jsonl(records: list[IrregularRecord]) -> str:

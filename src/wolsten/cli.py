@@ -40,7 +40,10 @@ def _workers(args: argparse.Namespace) -> int:
     if getattr(args, "workers", None) is not None:
         w = args.workers
     elif env:
-        w = int(env)
+        try:
+            w = int(env)
+        except ValueError:
+            raise WolstenError(f"WOLSTEN_WORKERS must be an integer, got {env!r}") from None
     else:
         w = 1
     if w < 1:

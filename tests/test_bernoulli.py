@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from wolsten import bernoulli
 from wolsten.bernoulli import (
-    _half_sum_numpy,
-    _half_sum_python,
+    KERNEL_P_LIMIT,
+    _w_mod_p,
     bernoulli_exact,
     bernoulli_pm3_mod_p,
     irregular_scan,
@@ -14,9 +15,9 @@ from wolsten.bernoulli import (
     records_to_jsonl,
     wolstenholme_quotient,
 )
-from wolsten.errors import PreconditionError
+from wolsten.errors import PreconditionError, WolstenError
 from wolsten.harmonic import Composition, mhs_exact
-from wolsten.padic import PrimePower, primes_in_range, reduce_mod, valuation
+from wolsten.padic import PrimePower, is_prime, primes_in_range, reduce_mod, valuation
 
 
 class TestBernoulliExact:
@@ -105,16 +106,46 @@ class TestBernoulliPm3:
             bernoulli_pm3_mod_p(7, route="magic")
 
 
-class TestScanKernels:
-    def test_python_equals_numpy(self):
-        for p in primes_in_range(5, 200):
-            assert _half_sum_python(p) == _half_sum_numpy(p)
+class TestScanKernel:
+    def test_against_exact_bernoulli(self):
+        # -3 w_p == B_{p-3} (mod p), with B_{p-3} from the exact recurrence
+        for p in primes_in_range(5, 403):
+            b = bernoulli_pm3_mod_p(p, route="exact").value
+            assert -3 * _w_mod_p(p) % p == b, p
+        assert _w_mod_p(5) == 3  # w_5 = 23
+
+    def test_against_harmonic_quotient(self):
+        # w_p from H(1;p-1) mod p^4, summed term by term
+        for p in primes_in_range(5, 1999):
+            assert _w_mod_p(p) == wolstenholme_quotient(p).value % p, p
 
     def test_against_exact_harmonic(self):
+        # H(1;p-1) == w_p p^2 (mod p^3), with H(1;p-1) an exact rational
         for p in (5, 7, 13, 101):
             h = mhs_exact(Composition.of(1), p - 1)
             h3 = reduce_mod(h, PrimePower(p, 3)).value
-            assert p * _half_sum_python(p) % p**3 == h3
+            assert _w_mod_p(p) * p * p % p**3 == h3
+
+    def test_wolstenholme_primes(self):
+        for prev, p, nxt in ((16831, 16843, 16871), (2124667, 2124679, 2124757)):
+            assert primes_in_range(prev, nxt) == [prev, p, nxt]
+            assert _w_mod_p(p) == 0
+            assert _w_mod_p(prev) != 0 and _w_mod_p(nxt) != 0
+
+    def test_range_guard_names_p(self):
+        p = next(q for q in range(KERNEL_P_LIMIT, KERNEL_P_LIMIT + 1000) if is_prime(q))
+        with pytest.raises(PreconditionError, match=str(p)):
+            _w_mod_p(p)
+        with pytest.raises(PreconditionError, match="p=9 "):
+            _w_mod_p(9)
+
+    def test_self_check_rejects_a_non_primitive_root(self, monkeypatch):
+        # mod 7: 2 has order 3, so the enumeration never reaches -1; 6 = -1
+        # reaches it but folds onto 1 only
+        for g in (2, 6):
+            monkeypatch.setattr(bernoulli, "_primitive_root", lambda p, g=g: g)
+            with pytest.raises(WolstenError, match="self-check failed at p=7"):
+                _w_mod_p(7)
 
 
 class TestScan:
@@ -155,6 +186,29 @@ class TestScan:
         data = read_checkpoint(str(ck))
         assert data["last_p"] == primes_in_range(5, 300)[-1]
         assert data["p_max"] == 300
+
+    def test_checkpoint_replaced_atomically(self, tmp_path, monkeypatch):
+        ck = tmp_path / "scan.ck"
+        irregular_scan(5, 300, checkpoint_path=str(ck))
+        before = ck.read_bytes()
+
+        def killed_mid_write(obj, fh):
+            fh.write('{"p_min": 5, "p_m')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bernoulli.json, "dump", killed_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            irregular_scan(5, 400, checkpoint_path=str(ck))
+        assert ck.read_bytes() == before
+
+    def test_truncated_checkpoint_names_path(self, tmp_path):
+        ck = tmp_path / "scan.ck"
+        ck.write_text('{"p_min": 5, "p_m')
+        with pytest.raises(WolstenError, match="scan.ck"):
+            read_checkpoint(str(ck))
+        ck.write_text('{"p_min": 5, "p_max": 400}\n')
+        with pytest.raises(WolstenError, match="last_p"):
+            read_checkpoint(str(ck))
 
     def test_min_clamped_to_five(self):
         records = irregular_scan(2, 12)

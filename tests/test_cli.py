@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wolsten import bernoulli
 from wolsten.cli import main
 
 
@@ -136,6 +137,21 @@ class TestScan:
     def test_resume_requires_checkpoint(self, capsys):
         assert run_cli("scan", "--pmax", "100", "--resume") == 2
 
+    def test_resume_from_truncated_checkpoint(self, tmp_path, capsys):
+        ck = tmp_path / "scan.ck"
+        ck.write_text('{"p_min": 5, "p_max": 4')
+        assert run_cli("scan", "--pmax", "400", "--checkpoint", str(ck), "--resume") == 2
+        err = capsys.readouterr().err
+        assert f"cannot read checkpoint {ck}" in err and "Traceback" not in err
+
+    def test_past_kernel_bound_exits_two(self, monkeypatch, capsys):
+        def no_sieve(lo, hi):
+            raise AssertionError("sieved a range past the kernel bound")
+
+        monkeypatch.setattr(bernoulli, "primes_in_range", no_sieve)
+        assert run_cli("scan", "--pmin", "3030000000", "--pmax", "3030000100") == 2
+        assert "p_max=3030000100" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_p7_output(self, tmp_path, capsys):
@@ -208,6 +224,12 @@ class TestEnvironment:
         b = tmp_path / "b.json"
         run_cli("scan", "--pmin", "5", "--pmax", "200", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_workers_env_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("WOLSTEN_WORKERS", "abc")
+        assert run_cli("scan", "--pmin", "5", "--pmax", "50") == 2
+        err = capsys.readouterr().err
+        assert err == "error: WOLSTEN_WORKERS must be an integer, got 'abc'\n"
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WOLSTEN_OUTDIR", str(tmp_path))
