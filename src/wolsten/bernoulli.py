@@ -233,7 +233,7 @@ def irregular_scan(
     records: list[IrregularRecord] = []
     for block_result in parallel_map(_scan_block, blocks, workers):
         for p, w in block_result:
-            one = PrimePower(p, 1)
+            one = PrimePower.sieved(p)
             records.append(
                 IrregularRecord(
                     p=p,

@@ -9,13 +9,19 @@ against it on dense grids.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PreconditionError, ZeroDenominatorError
+from .errors import (
+    BudgetExceededError,
+    PreconditionError,
+    WolstenError,
+    ZeroDenominatorError,
+)
 from .padic import PrimePower, valuation
 
 
@@ -36,6 +42,34 @@ def rising_binom(n: int, r: int) -> Fraction:
     for i in range(r):
         prod *= n + i
     return Fraction(prod, math.factorial(r))
+
+
+@functools.lru_cache(maxsize=16)
+def _comb_cached(n: int, r: int) -> int:
+    return math.comb(n, r)
+
+
+def binom_shifted(a: int, b: int, n: int, r: int) -> int:
+    """binom(a + n, b + r) from a cached binom(a, b), for 0 <= b <= a, n, r >= 0.
+
+    binom(a+n, b+r) = binom(a, b) * (a+1)...(a+n) / [(b+1)...(b+r)]
+    * (a-b)! / (a-b+n-r)!, so a grid over small shifts (n, r) of one big
+    binomial (the thm2 grids' binom(N p^3 + n, R p^3 + r)) pays for
+    math.comb once per (a, b) and then 2 max(n, r) small factors a point.
+    """
+    if not 0 <= b <= a or n < 0 or r < 0:
+        raise PreconditionError(f"need 0 <= b <= a and n, r >= 0, got {(a, b, n, r)}")
+    c, d = a - b, n - r
+    if c + d < 0:
+        return 0
+    # Of the last two ranges one is empty: (a-b)!/(a-b+d)! is a product
+    # in the numerator when d < 0 and in the denominator when d > 0.
+    num = math.prod(range(a + 1, a + n + 1)) * math.prod(range(c + d + 1, c + 1))
+    den = math.prod(range(b + 1, b + r + 1)) * math.prod(range(c + 1, c + d + 1))
+    value, rem = divmod(_comb_cached(a, b) * num, den)
+    if rem:
+        raise WolstenError(f"binom({a}+{n}, {b}+{r}): inexact division by {den}")
+    return value
 
 
 def legendre_valuation(n: int, p: int) -> int:
@@ -171,19 +205,7 @@ def _unit_prefix(p: int, q: int, upto: int) -> array | list:
 
 
 def _p_free_factorial(n: int, p: int, q: int, wilson_negative: bool) -> int:
-    if q <= _TABLE_CAP:
-        g = _unit_prefix(p, q, q - 1)
-        res = 1
-        wraps = 0
-        m = n
-        while m:
-            res = res * g[m % q] % q
-            wraps += m // q
-            m //= p
-        if wilson_negative and wraps % 2:
-            res = q - res
-        return res
-    if q > n:
+    if n < q:
         if n > _TABLE_CAP:
             raise BudgetExceededError(
                 f"argument {n} too large for the prefix table (cap {_TABLE_CAP})"
@@ -195,6 +217,18 @@ def _p_free_factorial(n: int, p: int, q: int, wilson_negative: bool) -> int:
         while m:
             res = res * g[m] % q
             m //= p
+        return res
+    if q <= _TABLE_CAP:
+        g = _unit_prefix(p, q, q - 1)
+        res = 1
+        wraps = 0
+        m = n
+        while m:
+            res = res * g[m % q] % q
+            wraps += m // q
+            m //= p
+        if wilson_negative and wraps % 2:
+            res = q - res
         return res
     raise BudgetExceededError(
         f"modulus {q} too large for a table but smaller than argument {n}"

@@ -69,11 +69,16 @@ class Composition:
         parts: list[int] = []
         for tok in text.split(","):
             tok = tok.strip()
-            if "^" in tok:
-                base, _, count = tok.partition("^")
-                parts.extend([int(base)] * int(count))
-            elif tok:
-                parts.append(int(tok))
+            try:
+                if "^" in tok:
+                    base, _, count = tok.partition("^")
+                    parts.extend([int(base)] * int(count))
+                elif tok:
+                    parts.append(int(tok))
+            except ValueError:
+                raise PreconditionError(
+                    f"cannot parse composition {text!r}: bad token {tok!r}"
+                ) from None
         return cls(tuple(parts))
 
     def __str__(self) -> str:

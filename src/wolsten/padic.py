@@ -9,6 +9,7 @@ pure, so they are safe to share between worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,15 +57,23 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by an Eratosthenes sieve."""
-    if hi < 2:
+    """All primes p with lo <= p <= hi, by a segmented Eratosthenes sieve.
+
+    Only the window [lo, hi] is sieved, by the base primes up to sqrt(hi),
+    so memory is O(hi - lo + sqrt(hi)) bytes however large hi is.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(hi) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, hi + 1, p))
-    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for p in range(2, root + 1):
+        if base[p]:
+            base[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+            first = max(p * p, -(-lo // p) * p)
+            window[first - lo :: p] = bytes(len(range(first, hi + 1, p)))
+    return list(itertools.compress(range(lo, hi + 1), window))
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,18 @@ class PrimePower:
             raise PreconditionError(f"exponent must be >= 1, got {self.k}")
         if not is_prime(self.p):
             raise PreconditionError(f"{self.p} is not prime")
+
+    @classmethod
+    def sieved(cls, p: int) -> "PrimePower":
+        """The modulus p^1 for a p that primes_in_range produced.
+
+        Skips the primality test, which a scan would otherwise rerun on
+        every prime it sieved; outside input goes through PrimePower(p, k).
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "k", 1)
+        return m
 
     @property
     def modulus(self) -> int:

@@ -21,7 +21,14 @@ from .bernoulli import (
     bernoulli_exact,
     wolstenholme_quotient,
 )
-from .binomial import binom, binom_factor, binom_mod, ratio, rising_factor
+from .binomial import (
+    binom,
+    binom_factor,
+    binom_mod,
+    binom_shifted,
+    ratio,
+    rising_factor,
+)
 from .errors import BudgetExceededError, PreconditionError
 from .harmonic import (
     Composition,
@@ -307,10 +314,7 @@ def check_thm2_case1(
         raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
     m = 5 if precision is None else precision
     p3 = p**3
-    lhs = ratio(
-        [binom_factor(N * p3 + n, R * p3 + r)],
-        [binom_factor(N, R), binom_factor(n, r)],
-    ).value
+    lhs = Fraction(binom_shifted(N * p3, R * p3, n, r), binom(N, R) * binom(n, r))
     c = thm2_c_value(p, N, R, n, r)
     rhs = 1 + c * p3
     params = {"N": N, "R": R, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"}
@@ -332,7 +336,7 @@ def check_thm2_case2(
         raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
     m = 5 if precision is None else precision
     p3 = p**3
-    lhs = ratio([binom_factor(N * p3 + n, R * p3 + r)], [binom_factor(N, R)]).value
+    lhs = Fraction(binom_shifted(N * p3, R * p3, n, r), binom(N, R))
     sign = -1 if (r - n + 1) % 2 else 1
     rhs = sign * Fraction(N - R, r) * Fraction(1, binom(r - 1, n)) * p3
     return _ratio_report(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wolsten import bernoulli
+from wolsten import bernoulli, padic
 from wolsten.bernoulli import (
     KERNEL_P_LIMIT,
     _w_mod_p,
@@ -162,6 +162,15 @@ class TestScan:
     def test_glaisher_by_construction(self):
         for rec in irregular_scan(5, 60):
             assert rec.b_pm3_mod_p.value == -3 * rec.w_mod_p.value % rec.p
+
+    def test_records_skip_the_primality_test(self, monkeypatch):
+        # The sieve already found these primes; building records must not
+        # run Miller-Rabin on each of them again.
+        calls = []
+        monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or True)
+        records = irregular_scan(5, 2000)
+        assert calls == []
+        assert [r.w_mod_p.modulus for r in records] == [PrimePower(r.p, 1) for r in records]
 
     def test_workers_do_not_change_output(self):
         base = records_to_jsonl(irregular_scan(5, 2000, workers=1))

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from wolsten import binomial
 from wolsten.binomial import (
     binom,
     binom_factor,
     binom_mod,
+    binom_shifted,
     binom_valuation,
     kummer_valuation_check,
     legendre_valuation,
@@ -15,7 +17,12 @@ from wolsten.binomial import (
     rising_binom,
     rising_factor,
 )
-from wolsten.errors import PreconditionError, ZeroDenominatorError
+from wolsten.errors import (
+    BudgetExceededError,
+    PreconditionError,
+    WolstenError,
+    ZeroDenominatorError,
+)
 from wolsten.padic import PrimePower, primes_in_range, valuation
 
 
@@ -151,3 +158,65 @@ class TestBinomMod:
         m = PrimePower(31, 7)
         a, b = 20000, 8551
         assert binom_mod(a, b, m) == math.comb(a, b) % m.modulus
+
+    def test_moduli_either_side_of_the_table_cap(self):
+        # 19^5 lies just under the table cap, 23^5 just over it.
+        rng = random.Random(55)
+        for p in (19, 23):
+            m = PrimePower(p, 5)
+            q = m.modulus
+            cases = [(N * p**3 + n, R * p**3 + r) for N, R, n, r in
+                     ((6, 1, 12, 3), (6, 6, 0, 12), (3, 0, 5, 5), (1, 1, 12, 12))]
+            cases += [(a, rng.randrange(0, a + 1))
+                      for a in (rng.randrange(0, 40000) for _ in range(40))]
+            if q < binomial._TABLE_CAP:  # else q - 1 exceeds the prefix table
+                cases += [(q - 1, b) for b in (0, 1, 2, 17, q - 1, q - 40)]
+            for a, b in cases:
+                assert binom_mod(a, b, m) == math.comb(a, b) % q, (p, a, b)
+        # Arguments past the modulus wrap: the full table under the cap ...
+        m = PrimePower(19, 5)
+        q = m.modulus
+        for a, b in ((q, 1), (q + 3, 2), (q + 1000, 19), (q + 1000, q + 990), (2 * q + 5, 3)):
+            assert binom_mod(a, b, m) == math.comb(a, b) % q, (a, b)
+        # ... and no route over it.
+        with pytest.raises(BudgetExceededError):
+            binom_mod(23**5 + 1, 1, PrimePower(23, 5))
+
+    def test_no_wrap_table_stays_argument_sized(self, monkeypatch):
+        monkeypatch.setattr(binomial, "_tables", {})
+        a = 6 * 13**3 + 12  # the largest bailey5 argument at p = 13, below 13^5
+        for b in (1, 13**3, a // 2):
+            binom_mod(a, b, PrimePower(13, 5))
+        assert len(binomial._tables[(13, 13**5)]) <= a + 1
+
+
+class TestBinomShifted:
+    def test_matches_comb_on_dense_grids(self):
+        for a in range(0, 30):
+            for b in range(0, a + 1):
+                for n in range(0, 7):
+                    for r in range(0, 7):
+                        assert binom_shifted(a, b, n, r) == math.comb(a + n, b + r), (a, b, n, r)
+
+    def test_matches_comb_on_thm2_grids(self):
+        # N = 0, R = 0, R = N and n < r (zero binomials) are all included.
+        for p in (5, 7, 11):
+            p3 = p**3
+            for N in range(0, 4):
+                for R in range(0, N + 1):
+                    for n in range(0, p):
+                        for r in range(0, p):
+                            got = binom_shifted(N * p3, R * p3, n, r)
+                            assert got == math.comb(N * p3 + n, R * p3 + r), (p, N, R, n, r)
+
+    def test_rejects_bad_arguments(self):
+        for args in ((3, 4, 0, 0), (3, -1, 0, 0), (3, 1, -1, 0), (3, 1, 0, -1)):
+            with pytest.raises(PreconditionError):
+                binom_shifted(*args)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # A wrong base binomial must not pass silently: 121 * 6 * 7 / (4 * 5)
+        # is not an integer.
+        monkeypatch.setattr(binomial, "_comb_cached", lambda n, r: math.comb(n, r) + 1)
+        with pytest.raises(WolstenError, match="inexact"):
+            binom_shifted(10, 3, 0, 2)

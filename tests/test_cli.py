@@ -49,6 +49,14 @@ class TestVerify:
         assert run_cli(*args, str(b), "--workers", "2") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bailey5_workers_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["verify", "--claim", "bailey5", "--pmin", "13", "--pmax", "17",
+                "--N-max", "2", "--n-max", "12", "--out"]
+        assert run_cli(*args, str(a), "--workers", "1") == 0
+        assert run_cli(*args, str(b), "--workers", "2") == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_prime_range(self, capsys):
         assert run_cli("verify", "--claim", "prop_ijk", "--pmin", "3", "--pmax", "31") == 0
         assert "10/10 pass" in capsys.readouterr().out
@@ -183,6 +191,19 @@ class TestAdHoc:
 
     def test_mhs_bad_modulus(self, capsys):
         assert run_cli("mhs", "--s", "1", "--n", "4", "--mod", "6^2") == 2
+
+    def test_mhs_bad_composition_exits_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wolsten.cli", "mhs", "--s", "a", "--n", "4"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot parse composition 'a': bad token 'a'\n"
+
+    def test_mhs_bad_composition_names_the_token(self, capsys):
+        for text, token in (("1,x", "x"), ("2^b", "2^b"), ("1^", "1^")):
+            assert run_cli("mhs", "--s", text, "--n", "4") == 2
+            assert f"bad token {token!r}" in capsys.readouterr().err
 
     def test_bernoulli(self, capsys):
         assert run_cli("bernoulli", "--k", "12") == 0

@@ -45,6 +45,19 @@ class TestPrimality:
         assert primes_in_range(20, 22) == []
         assert len(primes_in_range(2, 20000)) == 2262
 
+    def test_window_near_1e8_matches_is_prime(self):
+        lo, hi = 99_999_900, 100_000_100
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+    def test_random_windows_match_the_full_range(self):
+        full = [n for n in range(0, 5000) if is_prime(n)]
+        assert primes_in_range(0, 4999) == full
+        rng = random.Random(8)
+        for _ in range(300):
+            lo = rng.randrange(-5, 4900)
+            hi = lo + rng.randrange(-2, 100)
+            assert primes_in_range(lo, hi) == [p for p in full if lo <= p <= hi], (lo, hi)
+
 
 class TestPrimePower:
     def test_modulus(self):
@@ -54,6 +67,11 @@ class TestPrimePower:
     def test_rejects_composite(self):
         with pytest.raises(PreconditionError):
             PrimePower(6, 2)
+
+    def test_sieved_equals_checked(self):
+        for p in primes_in_range(2, 200):
+            assert PrimePower.sieved(p) == PrimePower(p, 1)
+            assert hash(PrimePower.sieved(p)) == hash(PrimePower(p, 1))
 
     def test_rejects_zero_exponent(self):
         with pytest.raises(PreconditionError):
