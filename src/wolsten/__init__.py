@@ -16,14 +16,11 @@ from .bernoulli import (
     wolstenholme_quotient,
 )
 from .binomial import (
-    BinomRatio,
     binom,
-    binom_factor,
     binom_mod,
     kummer_valuation_check,
     ratio,
     rising_binom,
-    rising_factor,
 )
 from .errors import (
     BudgetExceededError,

@@ -13,7 +13,6 @@ import functools
 import math
 import threading
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     WolstenError,
     ZeroDenominatorError,
 )
-from .padic import PrimePower, valuation
+from .padic import PrimePower
 
 
 def binom(n: int, r: int) -> int:
@@ -101,73 +100,11 @@ def kummer_valuation_check(p: int, n: int, r: int) -> bool:
     return binom_valuation(n * p, r * p, p) == binom_valuation(n, r, p)
 
 
-# --------------------------------------------------------------------------
-# Ratios of binomial factors
-
-
-@dataclass(frozen=True)
-class Factor:
-    """One binomial ("binom") or rising-factorial ("rising") factor."""
-
-    kind: str
-    n: int
-    r: int
-
-    def value(self) -> Fraction:
-        if self.kind == "binom":
-            return Fraction(binom(self.n, self.r))
-        if self.kind == "rising":
-            return rising_binom(self.n, self.r)
-        raise PreconditionError(f"unknown factor kind {self.kind!r}")
-
-    def __str__(self) -> str:
-        body = f"({self.n},{self.r})"
-        return ("C" if self.kind == "binom" else "R") + body
-
-
-def binom_factor(n: int, r: int) -> Factor:
-    return Factor("binom", n, r)
-
-
-def rising_factor(n: int, r: int) -> Factor:
-    return Factor("rising", n, r)
-
-
-@dataclass(frozen=True)
-class BinomRatio:
-    """An exact ratio of binomial-type factors."""
-
-    numerator_factors: tuple[Factor, ...]
-    denominator_factors: tuple[Factor, ...]
-    value: Fraction
-
-    def numerator_valuation(self, p: int) -> int | float:
-        return valuation(math.prod((f.value() for f in self.numerator_factors), start=Fraction(1)), p)
-
-    def denominator_valuation(self, p: int) -> int | float:
-        return valuation(math.prod((f.value() for f in self.denominator_factors), start=Fraction(1)), p)
-
-    def __str__(self) -> str:
-        num = "*".join(map(str, self.numerator_factors)) or "1"
-        den = "*".join(map(str, self.denominator_factors)) or "1"
-        return f"{num}/{den}"
-
-
-def ratio(
-    numerator: list[Factor] | tuple[Factor, ...],
-    denominator: list[Factor] | tuple[Factor, ...] = (),
-) -> BinomRatio:
-    """Assemble an exact ratio, rejecting vanishing denominator factors."""
-    den = Fraction(1)
-    for f in denominator:
-        fv = f.value()
-        if fv == 0:
-            raise ZeroDenominatorError(f"denominator factor {f} is zero")
-        den *= fv
-    num = Fraction(1)
-    for f in numerator:
-        num *= f.value()
-    return BinomRatio(tuple(numerator), tuple(denominator), num / den)
+def ratio(num: int | Fraction, den: int | Fraction) -> Fraction:
+    """The exact ratio num / den; a vanishing den raises ZeroDenominatorError."""
+    if den == 0:
+        raise ZeroDenominatorError(f"ratio {num}/{den}: the denominator is zero")
+    return Fraction(num) / den
 
 
 # --------------------------------------------------------------------------

@@ -28,9 +28,7 @@ from .errors import WolstenError
 from .harmonic import Composition, mhs_exact, mhs_mod
 from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
 from .report import render_table, reports_to_csv, reports_to_jsonl
-from .suite import CLAIM_PARAMS, find_exact_quadruples, grid_reports
-
-_CLAIM_ALIASES = {"main": "main_p5", "h12p": "h12"}
+from .suite import CLAIMS, Claim, find_exact_quadruples, grid_reports, lookup_claim
 
 _SCALAR_ONLY = {"e": 1, "s": 1, "d": 1, "n_parts": 3}
 
@@ -74,9 +72,17 @@ def _primes_for(args: argparse.Namespace) -> list[int]:
 _CAP_FALLBACKS = {"r": "n", "R": "N"}
 
 
-def _param_ranges(claim: str, args: argparse.Namespace) -> dict[str, range]:
+# The parameter flags of verify as argparse dests, in help order (a flag
+# the claim does not take is reported in this order); NAME_max bounds NAME.
+_PARAM_DESTS = ("N", "R", "n", "r", "e", "s", "d", "n_parts", "N_max", "R_max", "n_max", "r_max")
+
+
+def _param_ranges(claim: Claim, args: argparse.Namespace) -> dict[str, range]:
+    for dest in _PARAM_DESTS:
+        if getattr(args, dest) is not None and dest.removesuffix("_max") not in claim.params:
+            raise WolstenError(f"claim {claim.id!r} does not take --{dest.replace('_', '-')}")
     ranges: dict[str, range] = {}
-    for name in CLAIM_PARAMS[claim]:
+    for name in claim.params:
         flag = name.replace("_", "-")
         scalar = getattr(args, name)
         cap = getattr(args, f"{name}_max", None)
@@ -89,33 +95,30 @@ def _param_ranges(claim: str, args: argparse.Namespace) -> dict[str, range]:
         elif name in _SCALAR_ONLY:
             ranges[name] = range(_SCALAR_ONLY[name], _SCALAR_ONLY[name] + 1)
         else:
-            raise WolstenError(f"claim {claim!r} needs --{flag} or --{flag}-max")
+            raise WolstenError(f"claim {claim.id!r} needs --{flag} or --{flag}-max")
     return ranges
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    claim = _CLAIM_ALIASES.get(args.claim, args.claim)
-    if claim not in CLAIM_PARAMS:
-        raise WolstenError(f"unknown claim {args.claim!r}")
+    claim = lookup_claim(args.claim)
+    ranges = _param_ranges(claim, args)
     workers = _workers(args)
     reports = []
     for p in _primes_for(args):
-        ranges = _param_ranges(claim, args)
         reports.extend(
-            grid_reports(claim, p, ranges, precision=args.precision, workers=workers)
+            grid_reports(claim.id, p, ranges, precision=args.precision, workers=workers)
         )
     if not reports:
         raise WolstenError("no parameter combinations matched the claim's domain")
 
-    # The p=5 grid of thm2_case2 is exploratory (a stated belief, not a
-    # theorem): its verdicts are reported but never asserted.
-    exploratory = claim == "thm2_case2" and all(r.p == 5 for r in reports)
+    # Verdicts at a claim's exploratory primes are reported, never asserted.
+    exploratory = all(r.p in claim.exploratory for r in reports)
 
     if args.out:
         text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
         _out_path(args.out).write_text(text, encoding="utf-8")
     n_pass = sum(r.ok for r in reports)
-    print(f"{claim}: {n_pass}/{len(reports)} pass")
+    print(f"{claim.id}: {n_pass}/{len(reports)} pass")
     shown = 0
     for r in reports:
         if not r.ok:
@@ -248,16 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run one claim over parameters or a grid")
-    v.add_argument("--claim", required=True)
+    names = ", ".join(name for c in CLAIMS for name in (c.id, *c.aliases))
+    v.add_argument("--claim", required=True, help=f"one of: {names}")
     v.add_argument("--p", type=int)
     v.add_argument("--pmin", type=int)
     v.add_argument("--pmax", type=int)
-    for name in ("n", "r", "e", "s", "d", "n-parts"):
-        v.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
-    v.add_argument("--N", dest="N", type=int)
-    v.add_argument("--R", dest="R", type=int)
-    for name in ("n-max", "r-max", "N-max", "R-max"):
-        v.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
+    for dest in _PARAM_DESTS:
+        v.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=int)
     v.add_argument("--precision", type=int, help="override the modulus exponent")
     v.add_argument("--workers", type=int)
     v.add_argument("--out")

@@ -26,7 +26,7 @@ class NonIntegralError(NegativeValuationError):
 
 
 class ZeroDenominatorError(WolstenError, ZeroDivisionError):
-    """A denominator factor of a binomial ratio evaluates to zero."""
+    """The denominator of a binomial ratio evaluates to zero."""
 
 
 class BudgetExceededError(WolstenError, ValueError):

@@ -10,26 +10,21 @@ residues rather than raising.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .bernoulli import (
     DEFAULT_EXACT_BOUND,
     bernoulli_exact,
     wolstenholme_quotient,
 )
-from .binomial import (
-    binom,
-    binom_factor,
-    binom_mod,
-    binom_shifted,
-    ratio,
-    rising_factor,
-)
-from .errors import BudgetExceededError, PreconditionError
+from .binomial import binom, binom_mod, binom_shifted, ratio, rising_binom
+from .errors import BudgetExceededError, PreconditionError, WolstenError
 from .harmonic import (
     Composition,
     composition_sum,
@@ -66,7 +61,9 @@ __all__ = [
     "thm2_c_value",
     "run_check",
     "grid_reports",
-    "CLAIM_PARAMS",
+    "Claim",
+    "CLAIMS",
+    "lookup_claim",
 ]
 
 # Largest top argument for which integer congruences expand the exact
@@ -234,14 +231,12 @@ def check_kazandzidis(
     if form == "K1":
         if r < 1:
             raise PreconditionError(f"K1 needs r >= 1, got {r}")
-        lhs = ratio(
-            [rising_factor(n * p, r * p)], [rising_factor(n, r)]
-        ).value
+        lhs = ratio(rising_binom(n * p, r * p), rising_binom(n, r))
         correction = n * r * (n + r)
     elif form == "K2":
         if not 0 <= r <= n:
             raise PreconditionError(f"K2 needs n >= r >= 0, got n={n}, r={r}")
-        lhs = ratio([binom_factor(n * p, r * p)], [binom_factor(n, r)]).value
+        lhs = ratio(binom(n * p, r * p), binom(n, r))
         correction = n * r * (n - r)
     else:
         raise PreconditionError(f"form must be 'K1' or 'K2', got {form!r}")
@@ -264,7 +259,7 @@ def check_main(
         raise PreconditionError("n and r must be non-negative")
     m = 5 if precision is None else precision
     # n < r surfaces as ZeroDenominatorError from the vanishing binom(n, r).
-    lhs = ratio([binom_factor(n * p, r * p)], [binom_factor(n, r)]).value
+    lhs = ratio(binom(n * p, r * p), binom(n, r))
     rhs = Fraction(1 + _wp(p) * n * r * (n - r) * p**3)
     return _ratio_report("main_p5", p, m, lhs, rhs, {"n": n, "r": r})
 
@@ -285,7 +280,7 @@ def check_main_exp(
         raise BudgetExceededError(f"n*p^e = {n * p**e} exceeds budget {budget}")
     m = 5 if precision is None else precision
     pe = p**e
-    lhs = ratio([binom_factor(n * pe, r * pe)], [binom_factor(n, r)]).value
+    lhs = ratio(binom(n * pe, r * pe), binom(n, r))
     rhs = Fraction(1 + _wp(p) * n * r * (n - r) * p**3)
     return _ratio_report("main_exp", p, m, lhs, rhs, {"n": n, "r": r, "e": e})
 
@@ -513,87 +508,89 @@ def find_exact_quadruples(
 # --------------------------------------------------------------------------
 # Claim registry and grid driver
 
-CLAIM_PARAMS: dict[str, tuple[str, ...]] = {
-    "wolstenholme": (),
-    "bailey4": ("n", "r"),
-    "bailey5": ("N", "R", "n", "r"),
-    "kazandzidis_k1": ("n", "r"),
-    "kazandzidis_k2": ("n", "r"),
-    "main_p5": ("n", "r"),
-    "main_exp": ("n", "r", "e"),
-    "thm2_case1": ("N", "R", "n", "r"),
-    "thm2_case2": ("N", "R", "n", "r"),
-    "prop_ijk": (),
-    "cor_ijk": (),
-    "ji_zhoucai": ("n_parts",),
-    "h12": (),
-    "genwols": ("s", "d"),
-}
 
-_GRID_FILTERS = {
-    "bailey5": lambda p, N, R, n, r: n < p and r < p,
-    "kazandzidis_k1": lambda p, n, r: 1 <= r <= n,
-    "kazandzidis_k2": lambda p, n, r: 0 <= r <= n,
-    "main_p5": lambda p, n, r: r <= n,
-    "main_exp": lambda p, n, r, e: r <= n,
-    "thm2_case1": lambda p, N, R, n, r: R <= N and r <= n < p,
-    "thm2_case2": lambda p, N, R, n, r: R <= N and 1 <= n < r < p,
-    "ji_zhoucai": lambda p, n_parts: 2 <= n_parts <= p - 2,
-    "genwols": lambda p, s, d: p >= s * d + 3,
-}
+@dataclass(frozen=True)
+class Claim:
+    """One claim: its parameters, checker, grid domain and report ids.
+
+    ``check(p=p, **params)``, plus ``precision`` when ``takes_precision``,
+    returns one report or a tuple; ids outside ``reports`` (default: the
+    id) are rejected.  ``domain(p, **params)`` trims grids; the checkers
+    keep their own, looser, argument checks.  Verdicts at ``exploratory``
+    primes are reported but not asserted.
+    """
+
+    id: str
+    params: tuple[str, ...]
+    check: Callable[..., CongruenceReport | tuple[CongruenceReport, ...]]
+    domain: Callable[..., bool] | None = None
+    reports: tuple[str, ...] = ()
+    aliases: tuple[str, ...] = ()
+    takes_precision: bool = True
+    exploratory: frozenset[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not self.reports:
+            object.__setattr__(self, "reports", (self.id,))
+
+
+# h12 and genwols look their checkers up at call time, so a rebound
+# module attribute (e.g. an instrumenting wrapper) is honoured.
+CLAIMS = (
+    Claim("wolstenholme", (), check_wolstenholme),
+    Claim("bailey4", ("n", "r"), check_bailey4),
+    Claim("bailey5", ("N", "R", "n", "r"), check_bailey5,
+          lambda p, N, R, n, r: n < p and r < p),
+    Claim("kazandzidis_k1", ("n", "r"), functools.partial(check_kazandzidis, form="K1"),
+          lambda p, n, r: 1 <= r <= n),
+    Claim("kazandzidis_k2", ("n", "r"), functools.partial(check_kazandzidis, form="K2"),
+          lambda p, n, r: 0 <= r <= n),
+    Claim("main_p5", ("n", "r"), check_main, lambda p, n, r: r <= n, aliases=("main",)),
+    Claim("main_exp", ("n", "r", "e"), check_main_exp, lambda p, n, r, e: r <= n),
+    Claim("thm2_case1", ("N", "R", "n", "r"), check_thm2_case1,
+          lambda p, N, R, n, r: R <= N and r <= n < p),
+    Claim("thm2_case2", ("N", "R", "n", "r"), check_thm2_case2,
+          lambda p, N, R, n, r: R <= N and 1 <= n < r < p, exploratory=frozenset({5})),
+    Claim("prop_ijk", (), check_prop_ijk, takes_precision=False),
+    Claim("cor_ijk", (), check_cor_ijk, takes_precision=False),
+    Claim("ji_zhoucai", ("n_parts",), check_ji_zhoucai,
+          lambda p, n_parts: 2 <= n_parts <= p - 2, takes_precision=False),
+    Claim("h12", (), lambda p: h12_checks(p), reports=("h12", "h12p"),
+          aliases=("h12p",), takes_precision=False),
+    Claim("genwols", ("s", "d"), lambda p, s, d: genwols_check(s, d, p),
+          lambda p, s, d: p >= s * d + 3, takes_precision=False),
+)
+
+_CLAIMS_BY_NAME = {name: c for c in CLAIMS for name in (c.id, *c.aliases)}
+
+
+def lookup_claim(name: str) -> Claim:
+    """The registry row for a claim id or alias."""
+    claim = _CLAIMS_BY_NAME.get(name)
+    if claim is None:
+        raise PreconditionError(f"unknown claim {name!r}")
+    return claim
+
+
+def _claim_for(claim_id: str, precision: int | None) -> Claim:
+    claim = lookup_claim(claim_id)
+    if precision is not None and not claim.takes_precision:
+        raise PreconditionError(f"claim {claim.id} fixes its own precision; drop the override")
+    return claim
 
 
 def run_check(
     claim_id: str, p: int, params: dict, precision: int | None = None
 ) -> list[CongruenceReport]:
-    """Dispatch one claim instance; h12 yields its two linked reports."""
-    if claim_id == "wolstenholme":
-        return [check_wolstenholme(p, precision=precision)]
-    if claim_id == "bailey4":
-        return [check_bailey4(p, params["n"], params["r"], precision=precision)]
-    if claim_id == "bailey5":
-        return [
-            check_bailey5(
-                p, params["N"], params["R"], params["n"], params["r"],
-                precision=precision,
-            )
-        ]
-    if claim_id in ("kazandzidis_k1", "kazandzidis_k2"):
-        form = "K1" if claim_id.endswith("k1") else "K2"
-        return [
-            check_kazandzidis(p, params["n"], params["r"], form=form, precision=precision)
-        ]
-    if claim_id == "main_p5":
-        return [check_main(p, params["n"], params["r"], precision=precision)]
-    if claim_id == "main_exp":
-        return [
-            check_main_exp(p, params["n"], params["r"], params["e"], precision=precision)
-        ]
-    if claim_id == "thm2_case1":
-        return [
-            check_thm2_case1(
-                p, params["N"], params["R"], params["n"], params["r"],
-                precision=precision,
-            )
-        ]
-    if claim_id == "thm2_case2":
-        return [
-            check_thm2_case2(
-                p, params["N"], params["R"], params["n"], params["r"],
-                precision=precision,
-            )
-        ]
-    if claim_id == "prop_ijk":
-        return [check_prop_ijk(p)]
-    if claim_id == "cor_ijk":
-        return [check_cor_ijk(p)]
-    if claim_id == "ji_zhoucai":
-        return [check_ji_zhoucai(p, params["n_parts"])]
-    if claim_id == "h12":
-        return list(h12_checks(p))
-    if claim_id == "genwols":
-        return [genwols_check(params["s"], params["d"], p)]
-    raise PreconditionError(f"unknown claim id {claim_id!r}")
+    """Run one claim instance; h12 yields its two linked reports."""
+    claim = _claim_for(claim_id, precision)
+    kwargs = {"precision": precision} if claim.takes_precision else {}
+    out = claim.check(p=p, **params, **kwargs)
+    reports = [out] if isinstance(out, CongruenceReport) else list(out)
+    for rep in reports:
+        if rep.claim_id not in claim.reports:
+            raise WolstenError(f"claim {claim.id} produced a {rep.claim_id!r} report")
+    return reports
 
 
 def _grid_one(task: tuple) -> list[CongruenceReport]:
@@ -614,16 +611,16 @@ def grid_reports(
     are enumerated in lexicographic order; output order is deterministic
     for any worker count.
     """
-    names = CLAIM_PARAMS[claim_id]
+    claim = _claim_for(claim_id, precision)
+    names = claim.params
     for name in names:
         if name not in ranges:
-            raise PreconditionError(f"claim {claim_id} needs parameter {name!r}")
-    flt = _GRID_FILTERS.get(claim_id)
+            raise PreconditionError(f"claim {claim.id} needs parameter {name!r}")
     tasks = []
     for combo in itertools.product(*(ranges[name] for name in names)):
         params = dict(zip(names, combo))
-        if flt is not None and not flt(p, **params):
+        if claim.domain is not None and not claim.domain(p, **params):
             continue
-        tasks.append((claim_id, p, tuple(params.items()), precision))
+        tasks.append((claim.id, p, tuple(params.items()), precision))
     results = parallel_map(_grid_one, tasks, workers)
     return [rep for group in results for rep in group]

@@ -7,7 +7,6 @@ import pytest
 from wolsten import binomial
 from wolsten.binomial import (
     binom,
-    binom_factor,
     binom_mod,
     binom_shifted,
     binom_valuation,
@@ -15,7 +14,6 @@ from wolsten.binomial import (
     legendre_valuation,
     ratio,
     rising_binom,
-    rising_factor,
 )
 from wolsten.errors import (
     BudgetExceededError,
@@ -96,29 +94,23 @@ class TestValuations:
 
 class TestRatio:
     def test_plain(self):
-        br = ratio([binom_factor(14, 7)], [binom_factor(2, 1)])
-        assert br.value == 1716
+        assert ratio(binom(14, 7), binom(2, 1)) == 1716
 
     def test_remark_ratio(self):
-        br = ratio([binom_factor(20, 5)], [binom_factor(4, 1)])
-        assert br.value == 3876
+        value = ratio(binom(20, 5), binom(4, 1))
+        assert value == 3876
         assert 3876 % 5**5 == 751
 
     def test_overline_ratio(self):
-        br = ratio([rising_factor(3, 3)], [rising_factor(1, 1)])
-        assert br.value == 10
+        assert ratio(rising_binom(3, 3), rising_binom(1, 1)) == 10
 
-    def test_zero_denominator_names_factor(self):
-        with pytest.raises(ZeroDenominatorError, match=r"C\(2,5\)"):
-            ratio([binom_factor(4, 1)], [binom_factor(2, 5)])
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDenominatorError, match=r"ratio 4/0"):
+            ratio(binom(4, 1), binom(2, 5))
 
-    def test_valuations_on_demand(self):
-        br = ratio([binom_factor(20, 5)], [binom_factor(4, 1)])
-        assert br.numerator_valuation(2) == 4  # 15504 = 2^4 * 969
-        assert br.denominator_valuation(2) == 2
-
-    def test_empty_numerator(self):
-        assert ratio([], [binom_factor(4, 2)]).value == Fraction(1, 6)
+    def test_fraction_result(self):
+        value = ratio(1, binom(4, 2))
+        assert isinstance(value, Fraction) and value == Fraction(1, 6)
 
 
 class TestBinomMod:

@@ -101,6 +101,22 @@ class TestVerifyUsageErrors:
     def test_missing_p(self):
         assert run_cli("verify", "--claim", "wolstenholme") == 2
 
+    def test_fixed_precision_rejected(self, capsys):
+        assert run_cli("verify", "--claim", "cor_ijk", "--p", "7", "--precision", "3") == 2
+        err = capsys.readouterr().err
+        assert "cor_ijk" in err and "precision" in err and len(err.splitlines()) == 1
+
+    def test_unused_flag_rejected(self, capsys):
+        code = run_cli("verify", "--claim", "main", "--p", "7", "--n-max", "3",
+                       "--N", "4", "--s", "9")
+        assert code == 2
+        assert capsys.readouterr().err == "error: claim 'main_p5' does not take --N\n"
+
+    def test_unused_max_flag_rejected(self, capsys):
+        assert run_cli("verify", "--claim", "genwols", "--p", "11", "--s", "1", "--d", "3",
+                       "--n-max", "4") == 2
+        assert "does not take --n-max" in capsys.readouterr().err
+
     def test_out_of_domain_scalar(self, capsys):
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
                        "--N", "1", "--R", "0", "--n", "3", "--r", "3")

@@ -1,18 +1,24 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wolsten import suite
 from wolsten.bernoulli import bernoulli_exact
 from wolsten.errors import (
     BudgetExceededError,
     PreconditionError,
+    WolstenError,
     ZeroDenominatorError,
 )
 from wolsten.harmonic import composition_sum_bruteforce
 from wolsten.padic import INFINITE, primes_in_range, valuation
-from wolsten.report import CongruenceReport, reports_to_csv, reports_to_jsonl
+from wolsten.report import reports_to_csv, reports_to_jsonl
 from wolsten.suite import (
+    CLAIMS,
     check_bailey4,
     check_bailey5,
     check_cor_ijk,
@@ -26,6 +32,7 @@ from wolsten.suite import (
     check_wolstenholme,
     find_exact_quadruples,
     grid_reports,
+    lookup_claim,
     run_check,
     thm2_c_value,
 )
@@ -385,6 +392,62 @@ class TestDispatchAndGrids:
         with pytest.raises(PreconditionError):
             grid_reports("main_p5", 7, {"n": range(3)})
 
+    def test_unknown_claim_in_grid(self):
+        with pytest.raises(PreconditionError, match="unknown claim 'nonsense'"):
+            grid_reports("nonsense", 7, {})
+
+    @pytest.mark.parametrize("claim_id", ["prop_ijk", "cor_ijk", "ji_zhoucai", "h12", "genwols"])
+    def test_fixed_precision_rejected(self, claim_id):
+        with pytest.raises(PreconditionError, match=f"claim {claim_id} fixes its own precision"):
+            run_check(claim_id, 7, {}, precision=3)
+        with pytest.raises(PreconditionError, match="fixes its own precision"):
+            grid_reports(claim_id, 7, {}, precision=3)
+
+
+# One in-domain instance per claim, at the smallest prime its checker accepts.
+_INSTANCES = {
+    "wolstenholme": (5, {}),
+    "bailey4": (5, {"n": 2, "r": 1}),
+    "bailey5": (5, {"N": 2, "R": 1, "n": 3, "r": 1}),
+    "kazandzidis_k1": (3, {"n": 2, "r": 1}),
+    "kazandzidis_k2": (3, {"n": 2, "r": 1}),
+    "main_p5": (5, {"n": 2, "r": 1}),
+    "main_exp": (5, {"n": 2, "r": 1, "e": 1}),
+    "thm2_case1": (5, {"N": 2, "R": 1, "n": 3, "r": 1}),
+    "thm2_case2": (5, {"N": 2, "R": 1, "n": 1, "r": 3}),
+    "prop_ijk": (3, {}),
+    "cor_ijk": (5, {}),
+    "ji_zhoucai": (5, {"n_parts": 3}),
+    "h12": (7, {}),
+    "genwols": (5, {"s": 1, "d": 1}),
+}
+
+
+class TestRegistry:
+    def test_every_row_has_an_instance(self):
+        assert [c.id for c in CLAIMS] == list(_INSTANCES)
+
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
+    def test_row(self, claim):
+        p, params = _INSTANCES[claim.id]
+        assert tuple(params) == claim.params
+        assert claim.domain is None or claim.domain(p, **params)
+        reports = run_check(claim.id, p, params)
+        assert [r.claim_id for r in reports] == list(claim.reports)
+        for alias in claim.aliases:
+            assert lookup_claim(alias) is claim
+
+    def test_names_unique(self):
+        names = [name for c in CLAIMS for name in (c.id, *c.aliases)]
+        assert len(names) == len(set(names))
+
+    def test_readme_lists_every_claim(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = re.search(r"^Claims:.*?(?=\n\n)", readme, re.M | re.S).group(0)
+        listed = set(re.findall(r"`([a-z0-9_]+)`", paragraph))
+        for claim in CLAIMS:
+            assert {claim.id, *claim.aliases} <= listed, claim.id
+
 
 class TestReportSerialization:
     def test_jsonl_fields(self):
@@ -414,14 +477,12 @@ class TestReportSerialization:
         assert header.startswith("claim_id,p,params,precision")
         assert row.startswith("main_p5,7,n=2;r=1,5,1716/1,1716,18523/1,1716,5,pass")
 
-    def test_unknown_claim_id_rejected(self):
-        with pytest.raises(ValueError):
-            CongruenceReport(
-                claim_id="bogus",
-                p=7,
-                precision=1,
-                lhs_residue=0,
-                rhs_residue=0,
-                diff_valuation=1,
-                verdict="pass",
-            )
+    def test_unknown_claim_id_rejected(self, monkeypatch):
+        # run_check accepts only the report ids of the claim's registry row
+        rep = check_main(7, 2, 1)
+        row = dataclasses.replace(
+            lookup_claim("bailey4"), check=lambda p, n, r, precision: rep
+        )
+        monkeypatch.setitem(suite._CLAIMS_BY_NAME, "bailey4", row)
+        with pytest.raises(WolstenError, match="bailey4 produced a 'main_p5' report"):
+            run_check("bailey4", 7, {"n": 2, "r": 1})
