@@ -205,6 +205,7 @@ def irregular_scan(
     p_max: int,
     workers: int = 1,
     checkpoint_path: str | None = None,
+    start: int = 0,
 ) -> list[IrregularRecord]:
     """Scan every prime in [p_min, p_max] for the irregular pair (p, p-3).
 
@@ -215,17 +216,16 @@ def irregular_scan(
     Work is split into contiguous blocks of ~64 primes across worker
     processes; output is sorted by p and independent of the worker count.
     If checkpoint_path is given, the file is replaced atomically with the
-    last block completed in order.
+    last block completed in order.  A resumed scan passes the first prime
+    to scan as ``start``; its checkpoint still records p_min.
     """
-    if p_min < 5:
-        p_min = 5
     if p_max >= KERNEL_P_LIMIT:
         raise PreconditionError(
             f"p_max={p_max} must be below {KERNEL_P_LIMIT}, the int64 scan kernel's bound"
         )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
-    primes = primes_in_range(p_min, p_max)
+    primes = primes_in_range(max(p_min, start, 5), p_max)
     blocks = [
         tuple(primes[i : i + SCAN_BLOCK_SIZE])
         for i in range(0, len(primes), SCAN_BLOCK_SIZE)

@@ -27,10 +27,8 @@ from .bernoulli import (
 from .errors import WolstenError
 from .harmonic import Composition, mhs_exact, mhs_mod
 from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
-from .report import render_table, reports_to_csv, reports_to_jsonl
+from .report import render_table, reports_to_csv, reports_to_jsonl, table_row
 from .suite import CLAIMS, Claim, find_exact_quadruples, grid_reports, lookup_claim
-
-_SCALAR_ONLY = {"e": 1, "s": 1, "d": 1, "n_parts": 3}
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -92,10 +90,9 @@ def _param_ranges(claim: Claim, args: argparse.Namespace) -> dict[str, range]:
             ranges[name] = range(scalar, scalar + 1)
         elif cap is not None:
             ranges[name] = range(0, cap + 1)
-        elif name in _SCALAR_ONLY:
-            ranges[name] = range(_SCALAR_ONLY[name], _SCALAR_ONLY[name] + 1)
         else:
-            raise WolstenError(f"claim {claim.id!r} needs --{flag} or --{flag}-max")
+            grid = f" or --{flag}-max" if f"{name}_max" in _PARAM_DESTS else ""
+            raise WolstenError(f"claim {claim.id!r} needs --{flag}{grid}")
     return ranges
 
 
@@ -139,18 +136,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     workers = _workers(args)
     p_min, p_max = args.pmin, args.pmax
+    start = p_min  # a resumed scan starts after the checkpoint's last prime
     if args.resume:
         if not args.checkpoint:
             raise WolstenError("--resume requires --checkpoint")
         if Path(args.checkpoint).exists():
             ck = read_checkpoint(args.checkpoint)
-            if ck.get("p_max") != p_max:
+            if (ck["p_min"], ck["p_max"]) != (p_min, p_max):
                 raise WolstenError(
-                    f"checkpoint targets p_max={ck.get('p_max')}, not {p_max}"
+                    f"checkpoint {args.checkpoint} covers [{ck['p_min']}, {ck['p_max']}], "
+                    f"not [{p_min}, {p_max}]"
                 )
-            p_min = ck["last_p"] + 1
+            start = ck["last_p"] + 1
+        elif args.out and (out := _out_path(args.out)).exists():
+            raise WolstenError(f"cannot resume into {out}: checkpoint {args.checkpoint} does not exist")
     records = irregular_scan(
-        p_min, p_max, workers=workers, checkpoint_path=args.checkpoint
+        p_min, p_max, workers=workers, checkpoint_path=args.checkpoint, start=start
     )
     emitted = [r for r in records if r.irregular] if args.irregular_only else records
     text = records_to_csv(emitted) if args.format == "csv" else records_to_jsonl(emitted)
@@ -167,7 +168,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     irregular = [r.p for r in records if r.irregular]
     print(
-        f"scanned {len(records)} primes in [{p_min}, {p_max}]; "
+        f"scanned {len(records)} primes in [{start}, {p_max}]; "
         f"irregular: {irregular if irregular else 'none'}",
         file=sys.stderr,
     )
@@ -224,23 +225,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(getattr(args, "in"))
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-        objs = [json.loads(line) for line in lines if line]
+        objs = [(i, json.loads(line)) for i, line in enumerate(lines, 1) if line]
     except (OSError, json.JSONDecodeError) as exc:
         raise WolstenError(f"cannot read report {path}: {exc}") from exc
     if not objs:
         raise WolstenError(f"report {path} is empty")
-    if "claim_id" in objs[0]:
-        sys.stdout.write(render_table(objs))
-        n_pass = sum(o["verdict"] == "pass" for o in objs)
-        print(f"{n_pass}/{len(objs)} pass")
+    verify_report = isinstance(objs[0][1], dict) and "claim_id" in objs[0][1]
+    rows = []
+    for i, o in objs:
+        try:
+            rows.append(table_row(o) if verify_report else _scan_line(o))
+        except (KeyError, TypeError, AttributeError):
+            kind = "verify report" if verify_report else "scan record"
+            raise WolstenError(f"{path} line {i}: malformed {kind}") from None
+    if verify_report:
+        sys.stdout.write(render_table(rows))
+        n_pass = sum(row[-1] == "pass" for row in rows)
+        print(f"{n_pass}/{len(rows)} pass")
     else:
-        # irregular-scan records
-        for o in objs:
-            flag = " irregular" if o.get("irregular") else ""
-            print(f"p={o['p']}  w_mod_p={o['w_mod_p']}  b_pm3_mod_p={o['b_pm3_mod_p']}{flag}")
-        n_irr = sum(bool(o.get("irregular")) for o in objs)
-        print(f"{len(objs)} records, {n_irr} irregular")
+        for row in rows:
+            print(row)
+        n_irr = sum(bool(o.get("irregular")) for _, o in objs)
+        print(f"{len(rows)} records, {n_irr} irregular")
     return 0
+
+
+def _scan_line(o: dict) -> str:
+    flag = " irregular" if o.get("irregular") else ""
+    return f"p={o['p']}  w_mod_p={o['w_mod_p']}  b_pm3_mod_p={o['b_pm3_mod_p']}{flag}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegralError, PreconditionError
+# reduce_mod and valuation are unused here; bench/probe.py patches them.
 from .padic import (
-    INFINITE,
     PrimePower,
     Residue,
     _batch_inverse_ints,
@@ -31,7 +31,7 @@ from .padic import (
     reduce_mod,
     valuation,
 )
-from .report import CongruenceReport, verdict_of
+from .report import CongruenceReport, congruence_report
 
 
 @dataclass(frozen=True)
@@ -156,20 +156,7 @@ def genwols_check(s: int, d: int, p: int) -> CongruenceReport:
         raise PreconditionError(f"requires p >= s*d + 3, got p={p}, s*d={s * d}")
     precision = 2 if (s * d) % 2 else 1
     h = mhs_exact(Composition.repeat(s, d), p - 1)
-    ok, v = padic_congruent(h, 0, p, precision)
-    mod = PrimePower(p, precision)
-    return CongruenceReport(
-        claim_id="genwols",
-        p=p,
-        precision=precision,
-        lhs_residue=reduce_mod(h, mod).value,
-        rhs_residue=0,
-        diff_valuation=v,
-        verdict=verdict_of(ok),
-        lhs_exact=h,
-        rhs_exact=Fraction(0),
-        params={"s": s, "d": d},
-    )
+    return congruence_report("genwols", p, precision, h, 0, {"s": s, "d": d})
 
 
 def stirling1(n: int, j: int) -> int:
@@ -235,41 +222,19 @@ def h12_checks(p: int) -> tuple[CongruenceReport, CongruenceReport]:
     h1 = mhs_exact(Composition.of(1), n)
     h11 = mhs_exact(Composition.of(1, 1), n)
     h2 = mhs_exact(Composition.of(2), n)
-    mod4 = PrimePower(p, 4)
 
     lhs_a = 2 * h11 + h2
     rhs_a = h1 * h1
-    exact_equal = lhs_a == rhs_a
     ok_sq, v_sq = padic_congruent(rhs_a, 0, p, 4)
-    rep_a = CongruenceReport(
-        claim_id="h12",
-        p=p,
-        precision=4,
-        lhs_residue=reduce_mod(lhs_a, mod4).value,
-        rhs_residue=reduce_mod(rhs_a, mod4).value,
-        diff_valuation=INFINITE if exact_equal else valuation(lhs_a - rhs_a, p),
-        verdict=verdict_of(exact_equal and ok_sq),
-        lhs_exact=lhs_a,
-        rhs_exact=rhs_a,
-        params={"h1_squared_valuation": int(v_sq)},
+    rep_a = congruence_report(
+        "h12", p, 4, lhs_a, rhs_a, {"h1_squared_valuation": int(v_sq)},
+        holds=lhs_a == rhs_a and ok_sq,
     )
 
-    lhs_b = 2 * h1
     mid_b = -p * h2
-    rhs_b = 2 * p * h11
-    ok1, v1 = padic_congruent(lhs_b, mid_b, p, 4)
-    ok2, v2 = padic_congruent(mid_b, rhs_b, p, 4)
-    rep_b = CongruenceReport(
-        claim_id="h12p",
-        p=p,
-        precision=4,
-        lhs_residue=reduce_mod(lhs_b, mod4).value,
-        rhs_residue=reduce_mod(mid_b, mod4).value,
-        diff_valuation=v1,
-        verdict=verdict_of(ok1 and ok2),
-        lhs_exact=lhs_b,
-        rhs_exact=mid_b,
-        params={"second_link_valuation": int(v2)},
+    ok2, v2 = padic_congruent(mid_b, 2 * p * h11, p, 4)
+    rep_b = congruence_report(
+        "h12p", p, 4, 2 * h1, mid_b, {"second_link_valuation": int(v2)}, holds=ok2
     )
     return rep_a, rep_b
 

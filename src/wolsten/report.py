@@ -1,6 +1,7 @@
 """Structured verdicts of congruence checks and their serialization.
 
-One CongruenceReport is produced per checked claim instance.  JSON is the
+One CongruenceReport is produced per checked claim instance;
+congruence_report builds every one that has exact values.  JSON is the
 canonical format (one object per check, fixed key order, deterministic
 bytes); CSV is a lossy projection with params flattened to "k=v;k=v".
 """
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import format_rational
+from .padic import PrimePower, Rational, format_rational, padic_congruent, reduce_mod
 
 PASS = "pass"
 FAIL = "fail"
@@ -71,6 +72,36 @@ def verdict_of(passed: bool) -> str:
     return PASS if passed else FAIL
 
 
+def congruence_report(
+    claim_id: str,
+    p: int,
+    precision: int,
+    lhs: Rational,
+    rhs: Rational,
+    params: dict,
+    holds: bool = True,
+) -> CongruenceReport:
+    """Report for lhs == rhs mod p^precision between exact rationals.
+
+    The verdict passes when v_p(lhs - rhs) >= precision and ``holds``, a
+    claim's extra condition (e.g. the other link of a chain), is true.
+    """
+    ok, v = padic_congruent(lhs, rhs, p, precision)
+    mod = PrimePower(p, precision)
+    return CongruenceReport(
+        claim_id=claim_id,
+        p=p,
+        precision=precision,
+        lhs_residue=reduce_mod(lhs, mod).value,
+        rhs_residue=reduce_mod(rhs, mod).value,
+        diff_valuation=v,
+        verdict=verdict_of(ok and holds),
+        lhs_exact=Fraction(lhs),
+        rhs_exact=Fraction(rhs),
+        params=params,
+    )
+
+
 def reports_to_jsonl(reports: list[CongruenceReport]) -> str:
     return "".join(
         json.dumps(r.to_obj(), separators=(",", ":")) + "\n" for r in reports
@@ -114,22 +145,24 @@ def reports_to_csv(reports: list[CongruenceReport]) -> str:
     return buf.getvalue()
 
 
-def render_table(objs: list[dict]) -> str:
-    """Human-readable table for the `report` subcommand."""
-    rows = [("claim", "p", "params", "prec", "lhs", "rhs", "v(diff)", "verdict")]
-    for o in objs:
-        rows.append(
-            (
-                o["claim_id"],
-                str(o["p"]),
-                ";".join(f"{k}={v}" for k, v in o.get("params", {}).items()),
-                str(o["precision"]),
-                o["lhs"]["residue"],
-                o["rhs"]["residue"],
-                str(o["diff_valuation"]),
-                o["verdict"],
-            )
-        )
+def table_row(o: dict) -> tuple[str, ...]:
+    """A `report` table row; KeyError, TypeError or AttributeError if o lacks a field."""
+    cells = (
+        o["claim_id"],
+        o["p"],
+        ";".join(f"{k}={v}" for k, v in o.get("params", {}).items()),
+        o["precision"],
+        o["lhs"]["residue"],
+        o["rhs"]["residue"],
+        o["diff_valuation"],
+        o["verdict"],
+    )
+    return tuple(str(cell) for cell in cells)
+
+
+def render_table(rows: list[tuple[str, ...]]) -> str:
+    """Human-readable table of table_row rows for the `report` subcommand."""
+    rows = [("claim", "p", "params", "prec", "lhs", "rhs", "v(diff)", "verdict"), *rows]
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     lines.insert(1, "  ".join("-" * w for w in widths))

@@ -117,6 +117,17 @@ class TestVerifyUsageErrors:
                        "--n-max", "4") == 2
         assert "does not take --n-max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--claim", "main_exp", "--p", "7", "--n", "2", "--r", "1"), "--e"),
+        (("--claim", "genwols", "--p", "11"), "--s"),
+        (("--claim", "genwols", "--p", "11", "--s", "1"), "--d"),
+        (("--claim", "ji_zhoucai", "--p", "11"), "--n-parts"),
+    ])
+    def test_missing_scalar_flag(self, argv, flag, capsys):
+        assert run_cli("verify", *argv) == 2
+        claim = argv[1]
+        assert capsys.readouterr().err == f"error: claim {claim!r} needs {flag}\n"
+
     def test_out_of_domain_scalar(self, capsys):
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
                        "--N", "1", "--R", "0", "--n", "3", "--r", "3")
@@ -157,6 +168,40 @@ class TestScan:
         run_cli("scan", "--pmin", "5", "--pmax", "400", "--out", str(part),
                 "--checkpoint", str(ck), "--resume")
         assert part.read_bytes() == full.read_bytes()
+
+    def test_resume_keeps_the_scan_range(self, tmp_path):
+        part, ck = tmp_path / "part.json", tmp_path / "scan.ck"
+        run_cli("scan", "--pmin", "5", "--pmax", "97", "--out", str(part))
+        ck.write_text(json.dumps({"p_min": 5, "p_max": 400, "last_p": 97}) + "\n")
+        args = ("scan", "--pmin", "5", "--pmax", "400", "--out", str(part),
+                "--checkpoint", str(ck), "--resume")
+        assert run_cli(*args) == 0
+        done = part.read_bytes()
+        assert bernoulli.read_checkpoint(str(ck))["p_min"] == 5
+        assert run_cli(*args) == 0
+        assert part.read_bytes() == done
+
+    def test_resume_without_checkpoint_keeps_output(self, tmp_path, capsys):
+        out, ck = tmp_path / "out.json", tmp_path / "scan.ck"
+        run_cli("scan", "--pmin", "5", "--pmax", "30", "--out", str(out))
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run_cli("scan", "--pmin", "5", "--pmax", "30", "--out", str(out),
+                       "--checkpoint", str(ck), "--resume") == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and str(ck) in err and len(err.splitlines()) == 1
+        assert out.read_bytes() == before
+
+    def test_resume_with_other_pmin(self, tmp_path, capsys):
+        out, ck = tmp_path / "out.json", tmp_path / "scan.ck"
+        run_cli("scan", "--pmin", "7", "--pmax", "30", "--out", str(out), "--checkpoint", str(ck))
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run_cli("scan", "--pmin", "5", "--pmax", "30", "--out", str(out),
+                       "--checkpoint", str(ck), "--resume") == 2
+        err = capsys.readouterr().err
+        assert str(ck) in err and "[7, 30]" in err and len(err.splitlines()) == 1
+        assert out.read_bytes() == before
 
     def test_resume_requires_checkpoint(self, capsys):
         assert run_cli("scan", "--pmax", "100", "--resume") == 2
@@ -250,6 +295,19 @@ class TestReport:
 
     def test_missing_file(self, capsys):
         assert run_cli("report", "--in", "/no/such/file.json") == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ('{"p":5,"w_mod_p":"1","b_pm3_mod_p":"2","irregular":false}\n{"p": 5}\n', 2),
+        ("[1,2]\n", 1),
+        ('{"claim_id":"x"}\n', 1),
+    ], ids=("scan-record-without-keys", "not-an-object", "report-without-keys"))
+    def test_malformed_record(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli("report", "--in", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} line {line}: malformed ")
+        assert len(err.splitlines()) == 1
 
 
 class TestEnvironment:

@@ -16,7 +16,7 @@ from wolsten.errors import (
 )
 from wolsten.harmonic import composition_sum_bruteforce
 from wolsten.padic import INFINITE, primes_in_range, valuation
-from wolsten.report import reports_to_csv, reports_to_jsonl
+from wolsten.report import congruence_report, reports_to_csv, reports_to_jsonl
 from wolsten.suite import (
     CLAIMS,
     check_bailey4,
@@ -285,6 +285,15 @@ class TestSection4:
         rep = check_cor_ijk(5)
         assert rep.ok and rep.lhs_residue == 3 and rep.rhs_residue == 3
 
+    def test_cor_routes_disagree(self, monkeypatch):
+        w = suite._wp(7)
+        monkeypatch.setattr(suite, "_wp", lambda p: w + 1)
+        rep = check_cor_ijk(7)
+        # The exact route alone clears mod 7; the quotient route disagrees.
+        assert rep.verdict == "fail" and rep.diff_valuation == 1
+        assert rep.rhs_residue == 6 * (w + 1) % 7 != 6 * w % 7
+        assert rep.rhs_exact == Fraction(1, 15)
+
     def test_cor_beyond_exact_bound(self):
         rep = check_cor_ijk(499)
         assert rep.ok and rep.lhs_exact is None
@@ -404,22 +413,66 @@ class TestDispatchAndGrids:
             grid_reports(claim_id, 7, {}, precision=3)
 
 
-# One in-domain instance per claim, at the smallest prime its checker accepts.
+# One in-domain instance per claim, at the smallest prime its checker
+# accepts, with the exact report text it writes.
 _INSTANCES = {
-    "wolstenholme": (5, {}),
-    "bailey4": (5, {"n": 2, "r": 1}),
-    "bailey5": (5, {"N": 2, "R": 1, "n": 3, "r": 1}),
-    "kazandzidis_k1": (3, {"n": 2, "r": 1}),
-    "kazandzidis_k2": (3, {"n": 2, "r": 1}),
-    "main_p5": (5, {"n": 2, "r": 1}),
-    "main_exp": (5, {"n": 2, "r": 1, "e": 1}),
-    "thm2_case1": (5, {"N": 2, "R": 1, "n": 3, "r": 1}),
-    "thm2_case2": (5, {"N": 2, "R": 1, "n": 1, "r": 3}),
-    "prop_ijk": (3, {}),
-    "cor_ijk": (5, {}),
-    "ji_zhoucai": (5, {"n_parts": 3}),
-    "h12": (7, {}),
-    "genwols": (5, {"s": 1, "d": 1}),
+    "wolstenholme": (
+        5, {},
+        '{"claim_id":"wolstenholme","p":5,"params":{},"precision":2,"lhs":{"exact":"25/12","residue":"0"},"rhs":{"exact":"0/1","residue":"0"},"diff_valuation":2,"verdict":"pass"}\n'
+    ),
+    "bailey4": (
+        5, {"n": 2, "r": 1},
+        '{"claim_id":"bailey4","p":5,"params":{"n":2,"r":1},"precision":3,"lhs":{"exact":"252/1","residue":"2"},"rhs":{"exact":"2/1","residue":"2"},"diff_valuation":3,"verdict":"pass"}\n'
+    ),
+    "bailey5": (
+        5, {"N": 2, "R": 1, "n": 3, "r": 1},
+        '{"claim_id":"bailey5","p":5,"params":{"N":2,"R":1,"n":3,"r":1},"precision":3,"lhs":{"exact":"723910126864214128701458617457228158461516762600804647229294000597900392256/1","residue":"6"},"rhs":{"exact":"6/1","residue":"6"},"diff_valuation":3,"verdict":"pass"}\n'
+    ),
+    "kazandzidis_k1": (
+        3, {"n": 2, "r": 1},
+        '{"claim_id":"kazandzidis_k1","p":3,"params":{"n":2,"r":1},"precision":3,"lhs":{"exact":"28/1","residue":"1"},"rhs":{"exact":"-53/1","residue":"1"},"diff_valuation":4,"verdict":"pass"}\n'
+    ),
+    "kazandzidis_k2": (
+        3, {"n": 2, "r": 1},
+        '{"claim_id":"kazandzidis_k2","p":3,"params":{"n":2,"r":1},"precision":3,"lhs":{"exact":"10/1","residue":"10"},"rhs":{"exact":"-17/1","residue":"10"},"diff_valuation":3,"verdict":"pass"}\n'
+    ),
+    "main_p5": (
+        5, {"n": 2, "r": 1},
+        '{"claim_id":"main_p5","p":5,"params":{"n":2,"r":1},"precision":5,"lhs":{"exact":"126/1","residue":"126"},"rhs":{"exact":"5751/1","residue":"2626"},"diff_valuation":4,"verdict":"fail"}\n'
+    ),
+    "main_exp": (
+        5, {"n": 2, "r": 1, "e": 1},
+        '{"claim_id":"main_exp","p":5,"params":{"e":1,"n":2,"r":1},"precision":5,"lhs":{"exact":"126/1","residue":"126"},"rhs":{"exact":"5751/1","residue":"2626"},"diff_valuation":4,"verdict":"fail"}\n'
+    ),
+    "thm2_case1": (
+        5, {"N": 2, "R": 1, "n": 3, "r": 1},
+        '{"claim_id":"thm2_case1","p":5,"params":{"N":2,"R":1,"c":"283/6","n":3,"r":1},"precision":5,"lhs":{"exact":"120651687810702354783576436242871359743586127100134107871549000099650065376/1","residue":"2876"},"rhs":{"exact":"35381/6","residue":"2251"},"diff_valuation":4,"verdict":"fail"}\n'
+    ),
+    "thm2_case2": (
+        5, {"N": 2, "R": 1, "n": 1, "r": 3},
+        '{"claim_id":"thm2_case2","p":5,"params":{"N":2,"R":1,"n":1,"r":3},"precision":5,"lhs":{"exact":"173243067045382272030518289442117040145650781563618948123364269535379447875/2","residue":"500"},"rhs":{"exact":"-125/6","residue":"500"},"diff_valuation":6,"verdict":"pass"}\n'
+    ),
+    "prop_ijk": (
+        3, {},
+        '{"claim_id":"prop_ijk","p":3,"params":{"first_link_valuation":1},"precision":1,"lhs":{"exact":"3/2","residue":"0"},"rhs":{"exact":"0/1","residue":"0"},"diff_valuation":1,"verdict":"pass"}\n'
+    ),
+    "cor_ijk": (
+        5, {},
+        '{"claim_id":"cor_ijk","p":5,"params":{},"precision":1,"lhs":{"exact":"7/4","residue":"3"},"rhs":{"exact":"-1/3","residue":"3"},"diff_valuation":2,"verdict":"pass"}\n'
+    ),
+    "ji_zhoucai": (
+        5, {"n_parts": 3},
+        '{"claim_id":"ji_zhoucai","p":5,"params":{"n_parts":3},"precision":1,"lhs":{"exact":"7/4","residue":"3"},"rhs":{"exact":"-1/3","residue":"3"},"diff_valuation":2,"verdict":"pass"}\n'
+    ),
+    "h12": (
+        7, {},
+        '{"claim_id":"h12","p":7,"params":{"h1_squared_valuation":4},"precision":4,"lhs":{"exact":"2401/400","residue":"0"},"rhs":{"exact":"2401/400","residue":"0"},"diff_valuation":"inf","verdict":"pass"}\n'
+        '{"claim_id":"h12p","p":7,"params":{"second_link_valuation":5},"precision":4,"lhs":{"exact":"49/10","residue":"245"},"rhs":{"exact":"-37583/3600","residue":"245"},"diff_valuation":4,"verdict":"pass"}\n'
+    ),
+    "genwols": (
+        5, {"s": 1, "d": 1},
+        '{"claim_id":"genwols","p":5,"params":{"d":1,"s":1},"precision":2,"lhs":{"exact":"25/12","residue":"0"},"rhs":{"exact":"0/1","residue":"0"},"diff_valuation":2,"verdict":"pass"}\n'
+    ),
 }
 
 
@@ -429,11 +482,12 @@ class TestRegistry:
 
     @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
     def test_row(self, claim):
-        p, params = _INSTANCES[claim.id]
+        p, params, jsonl = _INSTANCES[claim.id]
         assert tuple(params) == claim.params
         assert claim.domain is None or claim.domain(p, **params)
         reports = run_check(claim.id, p, params)
         assert [r.claim_id for r in reports] == list(claim.reports)
+        assert reports_to_jsonl(reports) == jsonl
         for alias in claim.aliases:
             assert lookup_claim(alias) is claim
 
@@ -450,6 +504,13 @@ class TestRegistry:
 
 
 class TestReportSerialization:
+    def test_congruence_report_extra_condition(self):
+        rep = congruence_report("x", 7, 2, 50, Fraction(1), {}, holds=False)
+        assert rep.diff_valuation == 2 and rep.verdict == "fail"
+        assert (rep.lhs_residue, rep.rhs_residue) == (1, 1)
+        assert rep.lhs_exact == Fraction(50) and isinstance(rep.lhs_exact, Fraction)
+        assert congruence_report("x", 7, 2, 50, Fraction(1), {}).ok
+
     def test_jsonl_fields(self):
         import json
 
