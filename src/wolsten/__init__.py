@@ -9,7 +9,6 @@ nontrivial-congruence search tool.
 
 from .bernoulli import (
     IrregularRecord,
-    WolstenholmeQuotient,
     bernoulli_exact,
     bernoulli_pm3_mod_p,
     irregular_scan,

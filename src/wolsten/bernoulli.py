@@ -53,20 +53,8 @@ def bernoulli_exact(k: int, bound: int = DEFAULT_EXACT_BOUND) -> Fraction:
         return _bernoulli_cache[k]
 
 
-@dataclass(frozen=True)
-class WolstenholmeQuotient:
-    """The unique w_p < p^2 with H(1;p-1) == w_p * p^2 (mod p^4)."""
-
-    p: int
-    w: Residue
-
-    @property
-    def value(self) -> int:
-        return self.w.value
-
-
-def wolstenholme_quotient(p: int) -> WolstenholmeQuotient:
-    """Compute w_p from H(1;p-1) mod p^4 divided by p^2."""
+def wolstenholme_quotient(p: int) -> Residue:
+    """The unique w_p mod p^2 with H(1;p-1) == w_p * p^2 (mod p^4)."""
     if not is_prime(p) or p < 5:
         raise PreconditionError(f"p={p} must be a prime >= 5")
     h = mhs_mod(Composition.of(1), p - 1, PrimePower(p, 4)).value
@@ -74,12 +62,10 @@ def wolstenholme_quotient(p: int) -> WolstenholmeQuotient:
         raise WolstenError(
             f"H(1;{p - 1}) has {p}-adic valuation < 2; impossible for a prime >= 5"
         )
-    return WolstenholmeQuotient(p, Residue(h // (p * p), PrimePower(p, 2)))
+    return Residue(h // (p * p), PrimePower(p, 2))
 
 
-def bernoulli_pm3_mod_p(
-    p: int, route: str = "exact", bound: int = DEFAULT_EXACT_BOUND
-) -> Residue:
+def bernoulli_pm3_mod_p(p: int, route: str = "exact") -> Residue:
     """B_{p-3} mod p, by exact reduction or through the quotient w_p.
 
     The exact route reduces the rational B_{p-3} (its denominator is
@@ -89,7 +75,7 @@ def bernoulli_pm3_mod_p(
     if not is_prime(p) or p < 5:
         raise PreconditionError(f"p={p} must be a prime >= 5")
     if route == "exact":
-        return reduce_mod(bernoulli_exact(p - 3, bound=bound), PrimePower(p, 1))
+        return reduce_mod(bernoulli_exact(p - 3), PrimePower(p, 1))
     if route == "quotient":
         w = wolstenholme_quotient(p).value
         return Residue(-3 * w, PrimePower(p, 1))
@@ -112,8 +98,8 @@ class IrregularRecord:
     """Per-prime scan result; irregular means p | numerator(B_{p-3})."""
 
     p: int
-    w_mod_p: Residue
-    b_pm3_mod_p: Residue
+    w_mod_p: int
+    b_pm3_mod_p: int
     irregular: bool
 
 
@@ -232,16 +218,7 @@ def irregular_scan(
     ]
     records: list[IrregularRecord] = []
     for block_result in parallel_map(_scan_block, blocks, workers):
-        for p, w in block_result:
-            one = PrimePower.sieved(p)
-            records.append(
-                IrregularRecord(
-                    p=p,
-                    w_mod_p=Residue(w, one),
-                    b_pm3_mod_p=Residue(-3 * w, one),
-                    irregular=(w == 0),
-                )
-            )
+        records += [IrregularRecord(p, w, -3 * w % p, w == 0) for p, w in block_result]
         if checkpoint_path is not None:
             _write_checkpoint(checkpoint_path, p_min, p_max, records[-1].p)
     return records
@@ -288,7 +265,5 @@ def records_to_csv(records: list[IrregularRecord]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["p", "w_mod_p", "b_pm3_mod_p", "irregular"])
     for r in records:
-        w.writerow(
-            [r.p, str(r.w_mod_p), str(r.b_pm3_mod_p), "true" if r.irregular else "false"]
-        )
+        w.writerow([r.p, r.w_mod_p, r.b_pm3_mod_p, "true" if r.irregular else "false"])
     return buf.getvalue()

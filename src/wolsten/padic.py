@@ -89,18 +89,6 @@ class PrimePower:
         if not is_prime(self.p):
             raise PreconditionError(f"{self.p} is not prime")
 
-    @classmethod
-    def sieved(cls, p: int) -> "PrimePower":
-        """The modulus p^1 for a p that primes_in_range produced.
-
-        Skips the primality test, which a scan would otherwise rerun on
-        every prime it sieved; outside input goes through PrimePower(p, k).
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "p", p)
-        object.__setattr__(m, "k", 1)
-        return m
-
     @property
     def modulus(self) -> int:
         return self.p**self.k

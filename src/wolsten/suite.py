@@ -71,10 +71,8 @@ __all__ = [
 # binomial (roughly 600 decimal digits); beyond it the modular route runs.
 _EXACT_ARG_LIMIT = 2_000
 
-# Exhaustive quadruple search keeps exact binomials up to this argument.
-DEFAULT_SEARCH_BUDGET = 30_000
-
-DEFAULT_EXP_BUDGET = 10**6
+# Largest n p^e for which main_exp expands binom(n p^e, r p^e).
+_EXP_BUDGET = 10**6
 
 _h1_cache: list[Fraction] = [Fraction(0)]
 _w_cache: dict[int, int] = {}
@@ -234,14 +232,13 @@ def check_main_exp(
     r: int,
     e: int,
     precision: int | None = None,
-    budget: int = DEFAULT_EXP_BUDGET,
 ) -> CongruenceReport:
     """The same mod-p^5 congruence with p replaced by p^e, any e >= 1."""
     _require_prime(p, 5)
     if e < 1:
         raise PreconditionError(f"e must be >= 1, got {e}")
-    if n * p**e > budget:
-        raise BudgetExceededError(f"n*p^e = {n * p**e} exceeds budget {budget}")
+    if n * p**e > _EXP_BUDGET:
+        raise BudgetExceededError(f"n*p^e = {n * p**e} exceeds budget {_EXP_BUDGET}")
     m = 5 if precision is None else precision
     pe = p**e
     lhs = ratio(binom(n * pe, r * pe), binom(n, r))
@@ -314,9 +311,7 @@ def check_prop_ijk(p: int) -> CongruenceReport:
     )
 
 
-def check_cor_ijk(
-    p: int, exact_bound: int = DEFAULT_EXACT_BOUND
-) -> CongruenceReport:
+def check_cor_ijk(p: int) -> CongruenceReport:
     """sum 1/(ijk) over i+j+k=p == -2 B_{p-3} mod p, for primes p >= 5.
 
     The right side always comes from the quotient route (-2 B == 6 w_p);
@@ -326,8 +321,8 @@ def check_cor_ijk(
     """
     _require_prime(p, 5)
     rhs_res = 6 * _wp(p) % p
-    if p - 3 <= exact_bound:
-        rhs = -2 * bernoulli_exact(p - 3, bound=exact_bound)
+    if p - 3 <= DEFAULT_EXACT_BOUND:
+        rhs = -2 * bernoulli_exact(p - 3)
         rep = congruence_report("cor_ijk", p, 1, composition_sum_exact(3, p), rhs, {})
         if rep.rhs_residue != rhs_res:
             # The routes disagree: report the quotient route's residue.
@@ -347,9 +342,7 @@ def check_cor_ijk(
     )
 
 
-def check_ji_zhoucai(
-    p: int, n_parts: int, exact_bound: int = DEFAULT_EXACT_BOUND
-) -> CongruenceReport:
+def check_ji_zhoucai(p: int, n_parts: int) -> CongruenceReport:
     """Arbitrary-length composition sums against Bernoulli numbers.
 
     Odd n:  sum == -(n-1)! B_{p-n}                   mod p.
@@ -361,12 +354,10 @@ def check_ji_zhoucai(
     n = n_parts
     if n % 2:
         precision = 1
-        rhs = -math.factorial(n - 1) * bernoulli_exact(p - n, bound=exact_bound)
+        rhs = -math.factorial(n - 1) * bernoulli_exact(p - n)
     else:
         precision = 2
-        rhs = -Fraction(math.factorial(n) * n * p, 2 * (n + 1)) * bernoulli_exact(
-            p - n - 1, bound=exact_bound
-        )
+        rhs = -Fraction(math.factorial(n) * n * p, 2 * (n + 1)) * bernoulli_exact(p - n - 1)
     lhs = composition_sum_exact(n, p)
     return congruence_report("ji_zhoucai", p, precision, lhs, rhs, {"n_parts": n})
 
@@ -386,58 +377,26 @@ class QuadrupleHit:
     nontrivial: bool
 
 
-def _search_rows(args: tuple[int, str, tuple[int, ...]]) -> list[QuadrupleHit]:
-    p, method, n_values = args
-    p3, p5 = p**3, p**5
-    mod5 = PrimePower(p, 5)
-    hits: list[QuadrupleHit] = []
-    for N in n_values:
-        for R in range(1, p):
-            bNR = binom(N, R)
-            if bNR == 0:
-                continue
-            for n in range(1, p):
-                a_top = N * p3 + n
-                for r in range(1, p):
-                    rhs = bNR * binom(n, r)
-                    if rhs == 0:
-                        continue
-                    b_bot = R * p3 + r
-                    if method == "exact":
-                        lhs_res = binom(a_top, b_bot) % p5
-                    else:
-                        lhs_res = binom_mod(a_top, b_bot, mod5)
-                    if lhs_res == rhs % p5:
-                        hits.append(
-                            QuadrupleHit(N, R, n, r, nontrivial=(N != R or n != r))
-                        )
-    return hits
+def _search_rows(args: tuple[int, int]) -> list[QuadrupleHit]:
+    p, N = args
+    return [
+        QuadrupleHit(N, R, n, r, nontrivial=(N != R or n != r))
+        for R in range(1, N + 1)
+        for n in range(1, p)
+        for r in range(1, n + 1)
+        if check_bailey5(p, N, R, n, r, precision=5).ok
+    ]
 
 
-def find_exact_quadruples(
-    p: int,
-    method: str = "exact",
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    workers: int = 1,
-) -> list[QuadrupleHit]:
-    """Exhaustive search of 1 <= N, R, n, r <= p-1 for mod-p^5 coincidences.
+def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
+    """Exhaustive search of 1 <= R <= N < p, 1 <= r <= n < p for mod-p^5 coincidences.
 
-    Records every tuple whose two sides agree mod p^5 with a nonzero
-    right side (tuples where both sides vanish identically are not
-    coincidences), in lexicographic order.  The "exact" method expands
-    big integers and is capped by `budget` on the top argument; the
-    "modular" method uses the prime-power reduction and has no cap.
+    Records, in lexicographic order, every tuple for which the bailey5
+    congruence holds mod p^5.  Tuples with R > N or r > n, whose right
+    side binom(N,R) binom(n,r) vanishes, are left out.
     """
     _require_prime(p, 7)
-    if method not in ("exact", "modular"):
-        raise PreconditionError(f"method must be 'exact' or 'modular', got {method!r}")
-    if method == "exact" and (p - 1) * (p**3 + 1) > budget:
-        raise BudgetExceededError(
-            f"exact search at p={p} needs binomials of size "
-            f"{(p - 1) * (p**3 + 1)} > budget {budget}; use method='modular'"
-        )
-    tasks = [(p, method, (N,)) for N in range(1, p)]
-    results = parallel_map(_search_rows, tasks, workers)
+    results = parallel_map(_search_rows, [(p, N) for N in range(1, p)], workers)
     return [hit for rows in results for hit in rows]
 
 

@@ -1,7 +1,9 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,16 @@ class TestScan:
         assert str(out) in err and str(ck) in err and len(err.splitlines()) == 1
         assert out.read_bytes() == before
 
+    def test_resume_without_output_keeps_checkpoint(self, tmp_path, capsys):
+        out, ck = tmp_path / "out.json", tmp_path / "scan.ck"
+        ck.write_text(json.dumps({"p_min": 5, "p_max": 400, "last_p": 97}) + "\n")
+        before = ck.read_bytes()
+        assert run_cli("scan", "--pmin", "5", "--pmax", "400", "--out", str(out),
+                       "--checkpoint", str(ck), "--resume") == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and str(ck) in err and len(err.splitlines()) == 1
+        assert not out.exists() and ck.read_bytes() == before
+
     def test_resume_with_other_pmin(self, tmp_path, capsys):
         out, ck = tmp_path / "out.json", tmp_path / "scan.ck"
         run_cli("scan", "--pmin", "7", "--pmax", "30", "--out", str(out), "--checkpoint", str(ck))
@@ -231,9 +243,20 @@ class TestSearch:
         assert len(nontrivial) == 7 and (4, 2, 5, 2) in nontrivial
         assert "7 nontrivial" in capsys.readouterr().err
 
-    def test_budget_error(self, capsys):
-        assert run_cli("search", "--p", "17") == 2
-        assert run_cli("search", "--p", "17", "--method", "modular") == 0
+    def test_p17_without_size_cap(self, tmp_path, capsys):
+        out_file = tmp_path / "hits.json"
+        assert run_cli("search", "--p", "17", "--workers", "2", "--out", str(out_file)) == 0
+        assert len(out_file.read_text().splitlines()) == 304
+        assert "p=17: 304 hits" in capsys.readouterr().err
+        assert run_cli("search", "--p", "7", "--method", "modular") == 0
+
+    @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--budget", "1")])
+    def test_removed_options_exit_two(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("search", "--p", "7", flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err
 
 
 class TestAdHoc:
@@ -349,3 +372,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "1/6" in proc.stdout
+
+
+class TestReadme:
+    def test_cli_examples(self, tmp_path, monkeypatch, capsys):
+        # Every `wolsten ...` line of README's CLI block, run as written: the
+        # two p = 5 negative controls exit 1, the rest 0, and a trailing
+        # comment is text the command prints.  `report --in` reads the
+        # scan line's output.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("wolsten ")]
+        assert sum("--p 5 " in line for line in lines) == 2
+        monkeypatch.setenv("WOLSTEN_OUTDIR", str(tmp_path))
+        scan_out = None
+        for line in lines:
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)[1:]
+            if argv[0] == "scan":
+                scan_out = tmp_path / argv[argv.index("--out") + 1]
+            if argv[0] == "report":
+                argv[argv.index("--in") + 1] = str(scan_out)
+            assert run_cli(*argv) == (1 if "--p 5 " in command else 0), line
+            assert comment.strip() in capsys.readouterr().out, line

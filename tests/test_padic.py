@@ -68,11 +68,6 @@ class TestPrimePower:
         with pytest.raises(PreconditionError):
             PrimePower(6, 2)
 
-    def test_sieved_equals_checked(self):
-        for p in primes_in_range(2, 200):
-            assert PrimePower.sieved(p) == PrimePower(p, 1)
-            assert hash(PrimePower.sieved(p)) == hash(PrimePower(p, 1))
-
     def test_rejects_zero_exponent(self):
         with pytest.raises(PreconditionError):
             PrimePower(7, 0)

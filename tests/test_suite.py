@@ -361,19 +361,25 @@ class TestQuadrupleSearch:
         keys = [(h.N, h.R, h.n, h.r) for h in hits]
         assert keys == sorted(keys)
 
-    def test_modular_equals_exact(self):
-        assert find_exact_quadruples(7, method="modular") == find_exact_quadruples(7)
+    def test_matches_math_comb_oracle(self):
+        # Brute force, independent of check_bailey5.  At p = 7 the N = 6 rows
+        # take its modular route and the others its exact one.
+        p, p3 = 7, 7**3
+        tuples = [(N, R, n, r) for N in range(1, p) for R in range(1, N + 1)
+                  for n in range(1, p) for r in range(1, n + 1)]
+        assert len(tuples) == 441
+        oracle = [
+            (N, R, n, r) for N, R, n, r in tuples
+            if (math.comb(N * p3 + n, R * p3 + r) - math.comb(N, R) * math.comb(n, r)) % p**5 == 0
+        ]
+        assert [(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(p)] == oracle
 
     def test_workers_do_not_change_output(self):
         assert find_exact_quadruples(7, workers=2) == find_exact_quadruples(7)
 
     def test_p11_has_nontrivial_hits(self):
-        hits = find_exact_quadruples(11, method="modular")
+        hits = find_exact_quadruples(11)
         assert any(h.nontrivial for h in hits)
-
-    def test_exact_budget(self):
-        with pytest.raises(BudgetExceededError):
-            find_exact_quadruples(17)
 
 
 class TestDispatchAndGrids:
