@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -33,23 +32,45 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
 
 
-def bernoulli_exact(k: int, bound: int = DEFAULT_EXACT_BOUND) -> Fraction:
-    """Exact B_k from the recurrence sum_{j<=m} C(m+1, j) B_j = 0.
+def _tangent_numbers(n: int) -> list[int]:
+    # [T_1, ..., T_n], tan x = sum T_k x^(2k-1)/(2k-1)!, in O(n^2) integer
+    # steps (Brent and Harvey, "Fast computation of Bernoulli, Tangent and
+    # Secant numbers", 2013, algorithm TangentNumbers).
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
-    The recurrence is forced by the defining series of x/(e^x - 1); cost
-    grows quadratically, hence the configurable bound (default 400).
+
+def bernoulli_exact(k: int, bound: int = DEFAULT_EXACT_BOUND) -> Fraction:
+    """Exact B_k, with B_1 = -1/2, from the integer tangent numbers T_n.
+
+    B_(2n) = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)), and B_k = 0 for the other
+    odd k.  The T_n come from Brent and Harvey's O(k^2) integer algorithm,
+    with no gcd until each B_(2n) is reduced once.  The cache of B_0, B_1,
+    ... grows at least geometrically, to max(k, twice its last index), but
+    never past ``bound`` (default 400), which caps the cost of one call.
     """
     if k < 0:
         raise PreconditionError(f"k must be >= 0, got {k}")
     if k > bound:
         raise PreconditionError(f"k={k} exceeds the exact-route bound {bound}")
     with _bernoulli_lock:
-        while len(_bernoulli_cache) <= k:
-            m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-            _bernoulli_cache.append(-acc / (m + 1))
+        if len(_bernoulli_cache) <= k:
+            top = min(max(k, 2 * (len(_bernoulli_cache) - 1)), bound)
+            tangent = _tangent_numbers(top // 2)
+            for i in range(len(_bernoulli_cache), top + 1):
+                if i == 1:
+                    b = Fraction(-1, 2)
+                elif i % 2:
+                    b = Fraction(0)
+                else:
+                    n = i // 2
+                    b = Fraction((-1) ** (n - 1) * i * tangent[n - 1], 4**n * (4**n - 1))
+                _bernoulli_cache.append(b)
         return _bernoulli_cache[k]
 
 

@@ -48,6 +48,7 @@ def _workers(args: argparse.Namespace) -> int:
 
 
 def _out_path(raw: str) -> Path:
+    # A relative --out (or report --in) path is taken under WOLSTEN_OUTDIR.
     path = Path(raw)
     outdir = os.environ.get("WOLSTEN_OUTDIR")
     if outdir and not path.is_absolute():
@@ -225,7 +226,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    path = Path(getattr(args, "in"))
+    path = _out_path(getattr(args, "in"))
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
         objs = [(i, json.loads(line)) for i, line in enumerate(lines, 1) if line]

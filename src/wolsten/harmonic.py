@@ -10,13 +10,25 @@ prime power.  Both evaluators run the same O(n*d) prefix recurrence
 
     P_j(m) = P_j(m-1) + P_{j-1}(m-1) * m^(-s_j),   P_0 = 1.
 
+The exact evaluator runs it in integers, with no Fraction per step (a
+Fraction sum reduces by a gcd of two growing numbers at every step).  It
+keeps the numerators N_j = P_j(m) * L^(W_j) over L = lcm(1..m), where
+W_j = s_1 + ... + s_j, so a step is N_j += N_{j-1} * (L/m)^(s_j); when m
+is a prime power q^a, L grows by q and every N_j is first multiplied by
+q^(W_j).  One Fraction(N_d, L^(W_d)) is reduced at the end.  The state
+(m, L, N) of the 16 most recently advanced compositions is cached per
+process, and a later call with a larger n continues from it, so H(s; p-1)
+over the primes 7..401 costs one pass to 400 rather than one per prime.
+
 Partial sums of divergent series (trailing exponent 1) are fully
 supported; no index pattern is rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,17 +97,53 @@ class Composition:
         return ",".join(str(s) for s in self.parts)
 
 
+# Per composition, the integer state (m, lcm(1..m), [N_0, ..., N_d]), in
+# the order the entries were last advanced; the first one is evicted.
+_MHS_CACHE_SIZE = 16
+_mhs_cache: dict[tuple[int, ...], tuple[int, int, list[int]]] = {}
+_mhs_lock = threading.Lock()
+
+
+def _mhs_advance(
+    parts: tuple[int, ...], state: tuple[int, int, list[int]] | None, n: int
+) -> tuple[int, int, list[int]]:
+    # Run the integer recurrence from state (None: m = 0) to m = n, in a
+    # new list, so a state once cached is never changed.
+    m, big_l, rows = state or (0, 1, [1] + [0] * len(parts))
+    rows = list(rows)
+    weights = list(itertools.accumulate(parts))
+    d = len(parts)
+    for k in range(m + 1, n + 1):
+        q = k // math.gcd(big_l, k)  # lcm(1..k) / lcm(1..k-1): q if k = q^a, else 1
+        if q > 1:
+            big_l *= q
+            for j in range(1, d + 1):
+                rows[j] *= q ** weights[j - 1]
+        c = big_l // k
+        for j in range(min(d, k), 0, -1):
+            rows[j] += rows[j - 1] * c ** parts[j - 1]
+    return n, big_l, rows
+
+
 def mhs_exact(s: Composition, n: int) -> Fraction:
-    """Exact value of H(s_1,...,s_d; n); the empty sum (n < depth) is 0."""
+    """Exact value of H(s_1,...,s_d; n); the empty sum (n < depth) is 0.
+
+    Continues the cached state of s when that stops at or below n; a
+    smaller n is computed from scratch and leaves the cached state alone.
+    """
     if n < 0:
         raise PreconditionError(f"n must be >= 0, got {n}")
-    d = s.depth
-    rows = [Fraction(1)] + [Fraction(0)] * d
-    for m in range(1, n + 1):
-        inv_m = Fraction(1, m)
-        for j in range(min(d, m), 0, -1):
-            rows[j] += rows[j - 1] * inv_m ** s.parts[j - 1]
-    return rows[d]
+    with _mhs_lock:
+        cached = _mhs_cache.get(s.parts)
+        if cached is not None and cached[0] > n:
+            _, big_l, rows = _mhs_advance(s.parts, None, n)
+        else:
+            state = _mhs_advance(s.parts, cached, n)
+            _mhs_cache.pop(s.parts, None)
+            _, big_l, rows = _mhs_cache[s.parts] = state
+            if len(_mhs_cache) > _MHS_CACHE_SIZE:
+                del _mhs_cache[next(iter(_mhs_cache))]
+    return Fraction(rows[-1], big_l ** s.weight)
 
 
 def mhs_mod(s: Composition, n: int, m: PrimePower) -> Residue:

@@ -48,24 +48,34 @@ class CongruenceReport:
         return self.verdict == PASS
 
     def to_obj(self) -> dict:
-        """JSON-ready dict with the fixed schema and key order."""
+        """JSON-ready dict with the fixed schema and key order.
+
+        An exact value is null also when its decimal form passes Python's
+        int-to-string limit, sys.get_int_max_str_digits().
+        """
         dv = self.diff_valuation
         return {
             "claim_id": self.claim_id,
             "p": self.p,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "precision": self.precision,
-            "lhs": {
-                "exact": None if self.lhs_exact is None else format_rational(self.lhs_exact),
-                "residue": str(self.lhs_residue),
-            },
-            "rhs": {
-                "exact": None if self.rhs_exact is None else format_rational(self.rhs_exact),
-                "residue": str(self.rhs_residue),
-            },
+            "lhs": {"exact": _exact_text(self.lhs_exact), "residue": str(self.lhs_residue)},
+            "rhs": {"exact": _exact_text(self.rhs_exact), "residue": str(self.rhs_residue)},
             "diff_valuation": "inf" if dv == math.inf else int(dv),
             "verdict": self.verdict,
         }
+
+
+def _exact_text(x: Fraction | None) -> str | None:
+    # None when a numerator or denominator has more decimal digits than
+    # sys.get_int_max_str_digits() allows, where str() raises ValueError;
+    # raising the limit would write megabytes per report line.
+    if x is None:
+        return None
+    try:
+        return format_rational(x)
+    except ValueError:
+        return None
 
 
 def verdict_of(passed: bool) -> str:

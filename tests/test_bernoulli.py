@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from fraction_reference import bernoulli_numbers
 
 from wolsten import bernoulli, padic
 from wolsten.bernoulli import (
@@ -41,6 +42,33 @@ class TestBernoulliExact:
         with pytest.raises(PreconditionError):
             bernoulli_exact(401)
         assert bernoulli_exact(401, bound=500) == 0
+
+
+class TestBernoulliTangentRoute:
+    # The tangent-number route against the Fraction recurrence it replaced.
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = [Fraction(1)]
+        monkeypatch.setattr(bernoulli, "_bernoulli_cache", fresh)
+        return fresh
+
+    def test_matches_reference(self, cache):
+        want = bernoulli_numbers(400)
+        for k in (4, 398, 10, 0, 1):
+            assert bernoulli_exact(k) == want[k], k
+        assert [bernoulli_exact(k) for k in range(401)] == want
+
+    def test_growth_is_geometric_up_to_the_bound(self, cache):
+        bernoulli_exact(4)
+        assert len(cache) == 5
+        bernoulli_exact(6)
+        assert len(cache) == 9  # twice the last index, 4
+        bernoulli_exact(10, bound=12)
+        assert len(cache) == 13  # twice 8 is 16, past the bound
+        with pytest.raises(PreconditionError):
+            bernoulli_exact(13, bound=12)
+        assert len(cache) == 13
+        assert cache == bernoulli_numbers(12)
 
 
 class TestWolstenholmeQuotient:

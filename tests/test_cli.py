@@ -319,6 +319,19 @@ class TestReport:
     def test_missing_file(self, capsys):
         assert run_cli("report", "--in", "/no/such/file.json") == 2
 
+    def test_reads_under_outdir(self, tmp_path, monkeypatch, capsys):
+        # A relative --in is taken under WOLSTEN_OUTDIR, as --out is.
+        (tmp_path / "od").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("WOLSTEN_OUTDIR", "od")
+        assert run_cli("scan", "--pmin", "5", "--pmax", "50", "--out", "irr.json") == 0
+        assert (tmp_path / "od" / "irr.json").exists()
+        capsys.readouterr()
+        assert run_cli("report", "--in", "irr.json") == 0
+        out = capsys.readouterr().out
+        assert "p=5  w_mod_p=" in out and "p=47  " in out
+        assert "13 records, 0 irregular" in out
+
     @pytest.mark.parametrize("text, line", [
         ('{"p":5,"w_mod_p":"1","b_pm3_mod_p":"2","irregular":false}\n{"p": 5}\n', 2),
         ("[1,2]\n", 1),
@@ -331,6 +344,37 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} line {line}: malformed ")
         assert len(err.splitlines()) == 1
+
+
+class TestHugeExactValues:
+    # Exact values past Python's int-to-string limit are written as null;
+    # residues and diff_valuation stay.
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        # Python's default, whatever PYTHONINTMAXSTRDIGITS says.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv", [
+        ("--claim", "main_exp", "--p", "11", "--n", "12", "--r", "5", "--e", "3"),
+        ("--claim", "thm2_case1", "--p", "17", "--N", "6", "--R", "3", "--n", "2", "--r", "1"),
+    ], ids=("main_exp", "thm2_case1"))
+    def test_out_writes_null(self, tmp_path, capsys, argv):
+        js, cs = tmp_path / "o.json", tmp_path / "o.csv"
+        assert run_cli("verify", *argv, "--out", str(js)) == 0
+        assert run_cli("verify", *argv, "--out", str(cs), "--format", "csv") == 0
+        obj = json.loads(js.read_text())
+        assert obj["lhs"]["exact"] is None
+        assert obj["rhs"]["exact"] is not None
+        assert obj["verdict"] == "pass" and obj["diff_valuation"] == 5
+        header, row = (line.split(",") for line in cs.read_text().splitlines())
+        fields = dict(zip(header, row))
+        assert fields["lhs_exact"] == "" and fields["lhs_residue"] == obj["lhs"]["residue"]
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(js)) == 0
+        assert "1/1 pass" in capsys.readouterr().out
 
 
 class TestEnvironment:

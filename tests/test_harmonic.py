@@ -1,8 +1,13 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from fraction_reference import compositions, mhs_prefixes
 
+from wolsten import harmonic
 from wolsten.errors import PreconditionError
 from wolsten.harmonic import (
     Composition,
@@ -65,6 +70,66 @@ class TestMhsExact:
 
     def test_index_order_matters(self):
         assert mhs_exact(Composition.of(1, 2), 4) != mhs_exact(Composition.of(2, 1), 4)
+
+
+class TestMhsExactIntegerRoute:
+    # The integer route and its per-process cache of (m, lcm(1..m), N)
+    # against the Fraction recurrence it replaced.
+    COMPS = [c for w in range(1, 6) for c in compositions(w)]
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = {}
+        monkeypatch.setattr(harmonic, "_mhs_cache", fresh)
+        return fresh
+
+    def test_matches_reference_in_shuffled_order(self, cache):
+        # 31 compositions of weight <= 5, n in 0..80 shuffled: calls extend
+        # the cached state, fall below it, and cycle past the 16-entry bound.
+        assert len(self.COMPS) == 31
+        want = {c: mhs_prefixes(c, 80) for c in self.COMPS}
+        ns = random.Random(7).sample(range(81), 81)
+        for c in self.COMPS:
+            for n in ns:
+                assert mhs_exact(Composition(c), n) == want[c][n], (c, n)
+                assert len(cache) <= 16
+        for n in ns:
+            for c in self.COMPS:
+                assert mhs_exact(Composition(c), n) == want[c][n], (c, n)
+                assert len(cache) <= 16
+        assert len(cache) == 16 and list(cache)[-1] == self.COMPS[-1]
+
+    def test_call_below_cached_m_keeps_the_state(self, cache):
+        c = Composition.of(2, 1)
+        mhs_exact(c, 60)
+        state = cache[c.parts]
+        assert mhs_exact(c, 10) == mhs_prefixes(c.parts, 10)[10]
+        assert cache[c.parts] is state and state[0] == 60
+
+    def test_threads_on_one_composition(self, cache):
+        c = Composition.of(2, 1)
+        want = mhs_prefixes(c.parts, 120)
+        orders = [random.Random(seed).sample(range(121), 121) for seed in range(4)]
+        wrong = []
+
+        def work(order):
+            try:
+                wrong.extend(n for n in order if mhs_exact(c, n) != want[n])
+            except Exception as exc:  # reported through the assertion below
+                wrong.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestMhsMod:
