@@ -6,7 +6,8 @@ quotient.  Their agreement is a tested invariant, not an assumption.
 The scanner flags primes with H(1;p-1) == 0 mod p^3, equivalently primes
 dividing the numerator of B_{p-3}.  It gets w_p mod p from E. Lehmer's
 congruence sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) (Ann. of Math. 39,
-1938), summed mod p in int64 numpy blocks.
+1938), summed mod p in int64 numpy blocks by ``wolsten.kernel``, which
+is imported only when a scan starts.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import PreconditionError, WolstenError
 from .harmonic import Composition, mhs_mod
@@ -109,9 +108,14 @@ def bernoulli_pm3_mod_p(p: int, route: str = "exact") -> Residue:
 # The kernel multiplies two residues below p in int64, so it needs
 # (p - 1)^2 < 2^63, which holds up to p = 3037000500; the bound is rounded.
 KERNEL_P_LIMIT = 3_030_000_000
-_KERNEL_BLOCK = 1 << 16
 
 SCAN_BLOCK_SIZE = 64
+
+# A prime costs the kernel about 4.5 ns per unit of p (10 ms at p = 2.1e6),
+# and a 2-worker pool about 0.06 s to import, start and stop (both measured
+# on a 2-core machine).  A block per worker repays the pool once a window's
+# primes sum to about 3e7; the threshold leaves a margin over that.
+_SPLIT_WORK = 10**8
 
 
 @dataclass(frozen=True)
@@ -124,87 +128,10 @@ class IrregularRecord:
     irregular: bool
 
 
-def _primitive_root(p: int) -> int:
-    # The least g with g^((p-1)/q) != 1 (mod p) for every prime q | p - 1.
-    n, factors, d = p - 1, [], 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
-    return next(
-        g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
-    )
-
-
-def _mulmod(a: np.ndarray, c: int, p: int, out: np.ndarray) -> np.ndarray:
-    # out = a * c mod p; floor division by a scalar is several times
-    # faster in numpy than the remainder.
-    np.multiply(a, c, out=out)
-    out -= out // p * p
-    return out
-
-
-def _powers(x: int, n: int, p: int) -> np.ndarray:
-    # [x^0, ..., x^(n-1)] mod p, doubling the known prefix each step.
-    out = np.empty(n, dtype=np.int64)
-    out[0] = 1
-    m = 1
-    while m < n:
-        k = min(m, n - m)
-        _mulmod(out[:k], pow(x, m, p), p, out[m : m + k])
-        m += k
-    return out
-
-
-def _w_mod_p(p: int) -> int:
-    """w_p mod p as S/6, where S = sum_{k<=(p-1)/2} k^-3 == 6 w_p (mod p).
-
-    With g a primitive root and h = g^-3, the k <= (p-1)/2 are the g^i
-    that are <= (p-1)/2, with k^-3 = h^i.  As g^((p-1)/2) == -1, the
-    exponents past (p-1)/2 repeat the first half negated, so
-    S = sum_{i<(p-1)/2} (h^i if g^i <= (p-1)/2 else -h^i).  The g^i and
-    h^i run in blocks of m = 2^16 exponents, each block the previous one
-    times g^m resp. h^m (two modular products per element), so memory is
-    bounded by the block, never by p.
-
-    Self-check, raising WolstenError: the enumeration closes at
-    g^((p-1)/2) == h^((p-1)/2) == -1, and the folded values
-    min(g^i, p - g^i) sum to 1 + 2 + ... + (p-1)/2, as they must when
-    they run over 1..(p-1)/2 once each.
-    """
-    if not 5 <= p < KERNEL_P_LIMIT or not is_prime(p):
-        raise PreconditionError(
-            f"p={p} must be a prime with 5 <= p < {KERNEL_P_LIMIT} (int64 scan kernel)"
-        )
-    half = (p - 1) // 2
-    g = _primitive_root(p)
-    h = pow(g, -3, p)
-    m = min(_KERNEL_BLOCK, half)
-    g_blk, h_blk = _powers(g, m, p), _powers(h, m, p)
-    g_step, h_step = pow(g, m, p), pow(h, m, p)
-    s = folded = 0
-    for start in range(0, half, m):
-        if start:
-            _mulmod(g_blk, g_step, p, g_blk)
-            _mulmod(h_blk, h_step, p, h_blk)
-        k = min(m, half - start)
-        gi, hi = g_blk[:k], h_blk[:k]
-        low = (gi <= half).astype(np.int64)
-        s += 2 * int(np.dot(hi, low)) - int(hi.sum())
-        # sum of min(g^i, p - g^i): g^i where low, p - g^i elsewhere
-        folded += 2 * int(np.dot(gi, low)) - int(gi.sum()) + (k - int(low.sum())) * p
-    closes = int(gi[-1]) * g % p == p - 1 and int(hi[-1]) * h % p == p - 1
-    if not closes or folded != half * (half + 1) // 2:
-        raise WolstenError(f"scan kernel self-check failed at p={p}")
-    return s * pow(6, -1, p) % p
-
-
 def _scan_block(primes: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(p, _w_mod_p(p)) for p in primes]
+    from . import kernel
+
+    return [(p, kernel._w_mod_p(p)) for p in primes]
 
 
 def irregular_scan(
@@ -220,11 +147,13 @@ def irregular_scan(
     sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) in O(p) int64 work per
     prime, and flags primes where it vanishes, that is where
     H(1;p-1) == 0 mod p^3.  p_max must be below KERNEL_P_LIMIT (3.03e9).
-    Work is split into contiguous blocks of ~64 primes across worker
-    processes; output is sorted by p and independent of the worker count.
-    If checkpoint_path is given, the file is replaced atomically with the
-    last block completed in order.  A resumed scan passes the first prime
-    to scan as ``start``; its checkpoint still records p_min.
+    Work is split into contiguous blocks of at most 64 primes across
+    worker processes, and into at least one block per worker once the
+    primes sum to 10^8; output is sorted by p and independent of the
+    worker count.  If checkpoint_path is given, the file is replaced
+    atomically with the last block completed in order.  A resumed scan
+    passes the first prime to scan as ``start``; its checkpoint still
+    records p_min.
     """
     if p_max >= KERNEL_P_LIMIT:
         raise PreconditionError(
@@ -232,11 +161,15 @@ def irregular_scan(
         )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")
+    # Load numpy with the kernel before parallel_map forks its pool, so
+    # the workers inherit it rather than each importing it again.
+    from . import kernel  # noqa: F401
+
     primes = primes_in_range(max(p_min, start, 5), p_max)
-    blocks = [
-        tuple(primes[i : i + SCAN_BLOCK_SIZE])
-        for i in range(0, len(primes), SCAN_BLOCK_SIZE)
-    ]
+    size = SCAN_BLOCK_SIZE
+    if sum(primes) >= _SPLIT_WORK:  # a few costly primes: a block per worker
+        size = min(size, -(-len(primes) // workers))
+    blocks = [tuple(primes[i : i + size]) for i in range(0, len(primes), size)]
     records: list[IrregularRecord] = []
     for block_result in parallel_map(_scan_block, blocks, workers):
         records += [IrregularRecord(p, w, -3 * w % p, w == 0) for p, w in block_result]

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .bernoulli import (
@@ -203,6 +204,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _printable(value: Fraction, flag: str) -> str:
+    # str() of an int raises ValueError past Python's int-to-string limit;
+    # raising the limit would print megabytes.
+    try:
+        return format_rational(value)
+    except ValueError:
+        raise WolstenError(
+            f"{flag}: the exact value has more digits than Python's int-to-string "
+            f"limit of {sys.get_int_max_str_digits()}; give --mod for a residue"
+        ) from None
+
+
 def _cmd_mhs(args: argparse.Namespace) -> int:
     comp = Composition.parse(args.s)
     if args.mod:
@@ -211,7 +224,7 @@ def _cmd_mhs(args: argparse.Namespace) -> int:
         print(f"H({comp};{args.n}) = {value} (mod {m})")
     else:
         value = mhs_exact(comp, args.n)
-        print(f"H({comp};{args.n}) = {format_rational(value)}")
+        print(f"H({comp};{args.n}) = {_printable(value, f'--n {args.n}')}")
     return 0
 
 
@@ -221,7 +234,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         m = PrimePower.parse(args.mod)
         print(f"B_{args.k} = {reduce_mod(b, m)} (mod {m})")
     else:
-        print(f"B_{args.k} = {format_rational(b)}")
+        print(f"B_{args.k} = {_printable(b, f'--k {args.k}')}")
     return 0
 
 

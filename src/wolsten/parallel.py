@@ -3,11 +3,13 @@
 One process pool serves every call in a process: the first call that
 needs workers starts it, later calls with the same worker count reuse
 it, and it is shut down at interpreter exit.  A CLI run therefore pays
-for worker start-up once, not once per prime or grid.  The pool uses the
-platform's default start method, as a fresh pool per call did: under
-spawn every worker would re-import the caller's main module, which
-breaks scripts without a ``__main__`` guard, and each start would cost
-about 0.4 s more.
+for worker start-up once, not once per prime or grid.  The pool forks
+where the platform can, whatever its default start method: under spawn
+or forkserver (the Linux default from Python 3.14) every worker would
+re-import the caller's main module, which breaks scripts without a
+``__main__`` guard, and each start would cost about 0.4 s more.  The
+process-pool modules are imported only when a pool starts, so a run on
+one worker never loads multiprocessing.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -48,7 +51,12 @@ def _shared_pool(workers: int) -> ProcessPoolExecutor:
     with _pool_lock:
         if _pool is None or _pool_workers != workers:
             _shutdown_pool()
-            _pool = ProcessPoolExecutor(max_workers=workers)
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork") if fork else None
+            _pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
             _pool_workers = workers
         return _pool
 
@@ -75,6 +83,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list
     workers = cap_workers(workers, _usable_cpus())
     if workers == 1 or len(seq) <= 1:
         return [fn(x) for x in seq]
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = _shared_pool(workers)
     chunk = max(1, len(seq) // (_TASKS_PER_WORKER * workers))
     try:

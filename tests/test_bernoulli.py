@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from fraction_reference import bernoulli_numbers
 
-from wolsten import bernoulli, padic
+from wolsten import bernoulli, kernel, padic
 from wolsten.bernoulli import (
     KERNEL_P_LIMIT,
-    _w_mod_p,
     bernoulli_exact,
     bernoulli_pm3_mod_p,
     irregular_scan,
@@ -18,7 +17,9 @@ from wolsten.bernoulli import (
 )
 from wolsten.errors import PreconditionError, WolstenError
 from wolsten.harmonic import Composition, mhs_exact
+from wolsten.kernel import _w_mod_p
 from wolsten.padic import PrimePower, is_prime, primes_in_range, reduce_mod, valuation
+from wolsten.parallel import parallel_map
 
 
 class TestBernoulliExact:
@@ -171,7 +172,7 @@ class TestScanKernel:
         # mod 7: 2 has order 3, so the enumeration never reaches -1; 6 = -1
         # reaches it but folds onto 1 only
         for g in (2, 6):
-            monkeypatch.setattr(bernoulli, "_primitive_root", lambda p, g=g: g)
+            monkeypatch.setattr(kernel, "_primitive_root", lambda p, g=g: g)
             with pytest.raises(WolstenError, match="self-check failed at p=7"):
                 _w_mod_p(7)
 
@@ -202,6 +203,24 @@ class TestScan:
     def test_workers_do_not_change_output(self):
         base = records_to_jsonl(irregular_scan(5, 2000, workers=1))
         assert records_to_jsonl(irregular_scan(5, 2000, workers=2)) == base
+
+    @pytest.mark.parametrize(
+        "lo, hi, blocks",
+        [(22_000_000, 22_000_040, 2),  # five primes past the split threshold
+         (16810, 16845, 1)],  # five cheap ones: one inline block, no pool
+    )
+    def test_narrow_window_blocks(self, monkeypatch, lo, hi, blocks):
+        assert len(primes_in_range(lo, hi)) == 5
+        calls = []
+
+        def recording_map(fn, items, workers):
+            calls.append(list(items))
+            return parallel_map(fn, calls[-1], workers)
+
+        monkeypatch.setattr(bernoulli, "parallel_map", recording_map)
+        records = irregular_scan(lo, hi, workers=2)
+        assert len(calls[0]) == blocks
+        assert records == irregular_scan(lo, hi, workers=1)
 
     def test_jsonl_shape(self):
         lines = records_to_jsonl(irregular_scan(5, 12)).splitlines()

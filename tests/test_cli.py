@@ -297,6 +297,24 @@ class TestAdHoc:
         assert run_cli("bernoulli", "--k", "4", "--mod", "7^1") == 0
         assert "= 3 (mod 7^1)" in capsys.readouterr().out
 
+    # H(1;12000) and B_2100 have numerators past 4300 digits, the default
+    # int-to-string limit.
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("mhs", "--s", "1", "--n", "12000"), "--n 12000"),
+         (("bernoulli", "--k", "2100"), "--k 2100")],
+    )
+    def test_value_past_the_digit_limit_exits_two(self, argv, flag):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wolsten.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: {flag}: ")
+        assert f"int-to-string limit of {sys.get_int_max_str_digits()}" in proc.stderr
+
 
 class TestReport:
     def test_renders_table(self, tmp_path, capsys):
@@ -416,6 +434,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "1/6" in proc.stdout
+
+
+class TestImports:
+    def test_only_scan_loads_numpy(self):
+        # numpy and multiprocessing cost more start-up than the rest of the
+        # CLI; only the scan kernel uses numpy, and one worker needs no pool.
+        script = (
+            "import json, sys\n"
+            "import wolsten.cli as cli\n"
+            "loaded = lambda: [m for m in ('numpy', 'multiprocessing') if m in sys.modules]\n"
+            "seen = [loaded()]\n"
+            "cli.main(['verify', '--claim', 'main', '--p', '7', '--n-max', '6', '--workers', '1'])\n"
+            "seen.append(loaded())\n"
+            "cli.main(['mhs', '--s', '1', '--n', '4'])\n"
+            "seen.append(loaded())\n"
+            "cli.main(['scan', '--pmax', '30', '--workers', '1'])\n"
+            "print(json.dumps([seen, 'wolsten.kernel' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen, kernel_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == [[], [], []]
+        assert kernel_loaded
 
 
 class TestReadme:

@@ -1,4 +1,7 @@
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +41,24 @@ class TestParallelMap:
         assert os.getpid() not in first
         assert len(first) <= 2
         assert second <= first
+
+    @pytest.mark.skipif(
+        parallel._usable_cpus() < 2 or "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs two usable CPUs and the forkserver start method",
+    )
+    def test_script_without_main_guard_under_forkserver(self, tmp_path):
+        # forkserver, the Linux default from Python 3.14, re-imports a script
+        # in its workers, and one without a __main__ guard then breaks the
+        # pool.  `python -c` is never re-imported, so this needs a file.
+        script = tmp_path / "no_guard.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "from wolsten.parallel import parallel_map\n"
+            "print(parallel_map(str, range(10), 2))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{[str(i) for i in range(10)]}\n"
