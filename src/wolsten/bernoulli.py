@@ -182,10 +182,13 @@ def _write_checkpoint(path: str, p_min: int, p_max: int, last_p: int) -> None:
     # Write beside the target and rename over it: a kill leaves either the
     # old checkpoint or the new one, never part of one.
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"p_min": p_min, "p_max": p_max, "last_p": last_p}, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"p_min": p_min, "p_max": p_max, "last_p": last_p}, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise WolstenError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
 
 
 def read_checkpoint(path: str) -> dict:

@@ -28,8 +28,16 @@ from .bernoulli import (
 from .errors import WolstenError
 from .harmonic import Composition, mhs_exact, mhs_mod
 from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
-from .report import render_table, reports_to_csv, reports_to_jsonl, table_row
-from .suite import CLAIMS, Claim, find_exact_quadruples, grid_reports, lookup_claim
+# grid_reports and reports_to_jsonl are unused here; bench/probe.py patches them.
+from .report import join_lines, render_table, reports_to_jsonl, table_row  # noqa: F401
+from .suite import (  # noqa: F401
+    CLAIMS,
+    Claim,
+    find_exact_quadruples,
+    grid_lines,
+    grid_reports,
+    lookup_claim,
+)
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -55,6 +63,41 @@ def _out_path(raw: str) -> Path:
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
     return path
+
+
+def _check_writable(path: Path | str) -> None:
+    """WolstenError (exit 2) naming path unless a file can be written there.
+
+    Commands call it before their work, so that a run does not compute
+    everything and then fail to save it.
+    """
+    path = Path(path)
+    if path.is_dir():
+        problem = "it is a directory"
+    elif not path.parent.is_dir():
+        problem = f"{path.parent} is not a directory"
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise WolstenError(f"cannot write {path}: {problem}")
+
+
+def _out_file(args: argparse.Namespace) -> Path | None:
+    """The --out path, checked for writing; None without --out."""
+    if not args.out:
+        return None
+    path = _out_path(args.out)
+    _check_writable(path)
+    return path
+
+
+def _write(path: Path, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WolstenError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _primes_for(args: argparse.Namespace) -> list[int]:
@@ -102,49 +145,48 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     claim = lookup_claim(args.claim)
     ranges = _param_ranges(claim, args)
     workers = _workers(args)
-    reports = []
+    out = _out_file(args)
+    results = []
+    exploratory = True  # verdicts at a claim's exploratory primes are not asserted
     for p in _primes_for(args):
-        reports.extend(
-            grid_reports(claim.id, p, ranges, precision=args.precision, workers=workers)
+        lines = grid_lines(
+            claim.id, p, ranges, precision=args.precision, workers=workers, fmt=args.format
         )
-    if not reports:
+        exploratory &= not lines or p in claim.exploratory
+        results += lines
+    if not results:
         raise WolstenError("no parameter combinations matched the claim's domain")
 
-    # Verdicts at a claim's exploratory primes are reported, never asserted.
-    exploratory = all(r.p in claim.exploratory for r in reports)
-
-    if args.out:
-        text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
-        _out_path(args.out).write_text(text, encoding="utf-8")
-    n_pass = sum(r.ok for r in reports)
-    print(f"{claim.id}: {n_pass}/{len(reports)} pass")
-    shown = 0
-    for r in reports:
-        if not r.ok:
-            print(
-                f"  FAIL p={r.p} {r.params}: lhs={r.lhs_residue} rhs={r.rhs_residue} "
-                f"v(diff)={r.diff_valuation} (mod {r.p}^{r.precision})"
-            )
-            shown += 1
-            if shown >= 20:
-                print("  ...")
-                break
+    if out:
+        _write(out, join_lines((line for line, _ in results), args.format))
+    failed = [r for _, r in results if r is not None]
+    print(f"{claim.id}: {len(results) - len(failed)}/{len(results)} pass")
+    for r in failed[:20]:
+        print(
+            f"  FAIL p={r.p} {r.params}: lhs={r.lhs_residue} rhs={r.rhs_residue} "
+            f"v(diff)={r.diff_valuation} (mod {r.p}^{r.precision})"
+        )
+    if len(failed) >= 20:
+        print("  ...")
     if exploratory:
         print("exploratory run: verdicts reported, not asserted")
         return 0
-    return 0 if n_pass == len(reports) else 1
+    return 1 if failed else 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     workers = _workers(args)
     p_min, p_max = args.pmin, args.pmax
+    out = _out_file(args)  # both files are checked before any prime is scanned
+    if args.checkpoint:
+        _check_writable(args.checkpoint)
     start = p_min  # a resumed scan starts after the checkpoint's last prime
     if args.resume:
         if not args.checkpoint:
             raise WolstenError("--resume requires --checkpoint")
         has_ck = Path(args.checkpoint).exists()
         # Resuming needs both halves of an interrupted run, or neither.
-        if args.out and (out := _out_path(args.out)).exists() != has_ck:
+        if out and out.exists() != has_ck:
             raise WolstenError(
                 f"cannot resume into {out} from checkpoint {args.checkpoint}: "
                 f"{out if has_ck else args.checkpoint} does not exist"
@@ -162,15 +204,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     emitted = [r for r in records if r.irregular] if args.irregular_only else records
     text = records_to_csv(emitted) if args.format == "csv" else records_to_jsonl(emitted)
-    if args.out:
-        path = _out_path(args.out)
-        if args.resume and path.exists():
+    if out:
+        if args.resume and out.exists():
             if args.format == "csv":
                 text = "".join(text.splitlines(keepends=True)[1:])
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(out, text, "a")
         else:
-            path.write_text(text, encoding="utf-8")
+            _write(out, text)
     else:
         sys.stdout.write(text)
     irregular = [r.p for r in records if r.irregular]
@@ -183,6 +223,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    out = _out_file(args)
     hits = find_exact_quadruples(args.p, workers=_workers(args))
     lines = [
         json.dumps(
@@ -192,8 +233,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         for h in hits
     ]
     text = "".join(line + "\n" for line in lines)
-    if args.out:
-        _out_path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        _write(out, text)
     else:
         sys.stdout.write(text)
     nontrivial = [h for h in hits if h.nontrivial]

@@ -10,6 +10,13 @@ re-import the caller's main module, which breaks scripts without a
 ``__main__`` guard, and each start would cost about 0.4 s more.  The
 process-pool modules are imported only when a pool starts, so a run on
 one worker never loads multiprocessing.
+
+Items and results cross between processes by pickle, and the parent
+unpickles every result in one thread.  A second worker therefore pays
+only when an item's work outweighs pickling it and its result: fn
+should return compact values.  The verify grid's workers return encoded
+report lines, not CongruenceReports, whose Fraction fields cost more to
+unpickle than a bailey5 check costs to run.
 """
 
 from __future__ import annotations

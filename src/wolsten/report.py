@@ -4,18 +4,22 @@ One CongruenceReport is produced per checked claim instance;
 congruence_report builds every one that has exact values.  JSON is the
 canonical format (one object per check, fixed key order, deterministic
 bytes); CSV is a lossy projection with params flattened to "k=v;k=v".
+encode_report gives one report's line in either format, so a grid
+worker can ship the line instead of the report, and join_lines turns
+such lines into a report file.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import PrimePower, Rational, format_rational, padic_congruent, reduce_mod
+from .errors import PreconditionError
+from .padic import INFINITE, PrimePower, Rational, _int_valuation, padic_congruent, reduce_mod
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,7 +77,7 @@ def _exact_text(x: Fraction | None) -> str | None:
     if x is None:
         return None
     try:
-        return format_rational(x)
+        return f"{x.numerator}/{x.denominator}"
     except ValueError:
         return None
 
@@ -95,26 +99,32 @@ def congruence_report(
 
     The verdict passes when v_p(lhs - rhs) >= precision and ``holds``, a
     claim's extra condition (e.g. the other link of a chain), is true.
+    p is taken to be prime, as every checker has made sure.  Two ints
+    take residues by % and the valuation of their integer difference,
+    the same values the Fraction route gives.
     """
-    ok, v = padic_congruent(lhs, rhs, p, precision)
-    mod = PrimePower(p, precision)
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        if precision < 1:
+            raise PreconditionError(f"precision must be >= 1, got {precision}")
+        q = p**precision
+        d = lhs - rhs
+        v = _int_valuation(d, p) if d else INFINITE
+        lhs_res, rhs_res = lhs % q, rhs % q
+    else:
+        ok, v = padic_congruent(lhs, rhs, p, precision)
+        mod = PrimePower(p, precision)
+        lhs_res, rhs_res = reduce_mod(lhs, mod).value, reduce_mod(rhs, mod).value
     return CongruenceReport(
         claim_id=claim_id,
         p=p,
         precision=precision,
-        lhs_residue=reduce_mod(lhs, mod).value,
-        rhs_residue=reduce_mod(rhs, mod).value,
+        lhs_residue=lhs_res,
+        rhs_residue=rhs_res,
         diff_valuation=v,
-        verdict=verdict_of(ok and holds),
+        verdict=verdict_of(v >= precision and holds),
         lhs_exact=Fraction(lhs),
         rhs_exact=Fraction(rhs),
         params=params,
-    )
-
-
-def reports_to_jsonl(reports: list[CongruenceReport]) -> str:
-    return "".join(
-        json.dumps(r.to_obj(), separators=(",", ":")) + "\n" for r in reports
     )
 
 
@@ -131,28 +141,55 @@ CSV_COLUMNS = (
     "verdict",
 )
 
+# json.dumps builds a new encoder on every call that passes separators.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+class _Echo:
+    """A file whose write returns its text: csv.writer.writerow then returns the row."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+_CSV = csv.writer(_Echo(), lineterminator="\n")
+
+
+def encode_report(r: CongruenceReport, fmt: str = "json") -> str:
+    """One report's line, newline included: a JSON object, or a CSV row ("csv")."""
+    obj = r.to_obj()
+    if fmt == "json":
+        return _JSON.encode(obj) + "\n"
+    if fmt != "csv":
+        raise PreconditionError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
+    return _CSV.writerow(
+        [
+            obj["claim_id"],
+            obj["p"],
+            ";".join(f"{k}={v}" for k, v in obj["params"].items()),
+            obj["precision"],
+            obj["lhs"]["exact"] or "",
+            obj["lhs"]["residue"],
+            obj["rhs"]["exact"] or "",
+            obj["rhs"]["residue"],
+            obj["diff_valuation"],
+            obj["verdict"],
+        ]
+    )
+
+
+def join_lines(lines: Iterable[str], fmt: str = "json") -> str:
+    """A report file from encode_report lines; CSV starts with its header row."""
+    header = _CSV.writerow(CSV_COLUMNS) if fmt == "csv" else ""
+    return header + "".join(lines)
+
+
+def reports_to_jsonl(reports: list[CongruenceReport]) -> str:
+    return join_lines(encode_report(r) for r in reports)
+
 
 def reports_to_csv(reports: list[CongruenceReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in reports:
-        obj = r.to_obj()
-        w.writerow(
-            [
-                obj["claim_id"],
-                obj["p"],
-                ";".join(f"{k}={v}" for k, v in obj["params"].items()),
-                obj["precision"],
-                obj["lhs"]["exact"] or "",
-                obj["lhs"]["residue"],
-                obj["rhs"]["exact"] or "",
-                obj["rhs"]["residue"],
-                obj["diff_valuation"],
-                obj["verdict"],
-            ]
-        )
-    return buf.getvalue()
+    return join_lines((encode_report(r, "csv") for r in reports), "csv")
 
 
 def table_row(o: dict) -> tuple[str, ...]:

@@ -6,6 +6,11 @@ modular route when the binomial arguments are too large to expand, with
 the difference valuation still computed exactly by precision escalation.
 Negative controls (the p = 5 failures) run through the same verifiers and
 report the failing residues rather than raising.
+
+A grid's points are enumerated once, by _grid_tasks.  grid_reports
+returns the reports; grid_lines, the CLI's path, has each worker encode
+its reports and send back the lines, with a report only for a failed
+check.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .padic import (
     valuation,
 )
 from .parallel import parallel_map
-from .report import FAIL, CongruenceReport, congruence_report, verdict_of
+from .report import FAIL, CongruenceReport, congruence_report, encode_report, verdict_of
 
 __all__ = [
     "QuadrupleHit",
@@ -62,6 +67,7 @@ __all__ = [
     "thm2_c_value",
     "run_check",
     "grid_reports",
+    "grid_lines",
     "Claim",
     "CLAIMS",
     "lookup_claim",
@@ -110,13 +116,15 @@ def _integer_congruence(
     params: dict,
 ) -> CongruenceReport:
     """Report for the integer congruence binom(a, b) == rhs mod p^precision."""
-    mod = PrimePower(p, precision)
     if b < 0 or b > a or b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
         return congruence_report(claim_id, p, precision, binom(a, b), rhs, params)
-    q = mod.modulus
-    lhs_res = binom_mod(a, b, mod)
-    # Residues only: raise the modulus until the difference shows.
-    k, d = precision, (lhs_res - rhs) % q
+    q = PrimePower(p, precision).modulus  # PreconditionError if precision < 1
+    # Residues only: raise the modulus until the difference shows.  A
+    # passing check's difference vanishes mod p^precision, so the first
+    # modulus is p^(precision+2); it gives lhs mod p^precision too.
+    k = precision + 2
+    lhs_k = binom_mod(a, b, PrimePower(p, k))
+    lhs_res, d = lhs_k % q, (lhs_k - rhs) % p**k
     while not d:
         k += 2
         if k > 64:
@@ -488,9 +496,37 @@ def run_check(
     return reports
 
 
-def _grid_one(task: tuple) -> list[CongruenceReport]:
-    claim_id, p, items, precision = task
+# One grid point's result on the CLI path: its encoded report line, with
+# the report itself when the check failed (the FAIL summary needs it).
+GridLine = tuple[str, CongruenceReport | None]
+
+
+def _grid_tasks(
+    claim_id: str, p: int, ranges: dict[str, range], precision: int | None, fmt: str | None
+) -> list[tuple]:
+    """The grid's points as tasks, in lexicographic order, domain applied."""
+    claim = _claim_for(claim_id, precision)
+    names = claim.params
+    for name in names:
+        if name not in ranges:
+            raise PreconditionError(f"claim {claim.id} needs parameter {name!r}")
+    tasks = []
+    for combo in itertools.product(*(ranges[name] for name in names)):
+        params = dict(zip(names, combo))
+        if claim.domain is not None and not claim.domain(p, **params):
+            continue
+        tasks.append((claim.id, p, tuple(params.items()), precision, fmt))
+    return tasks
+
+
+def _grid_check(task: tuple) -> list[CongruenceReport]:
+    claim_id, p, items, precision, _ = task
     return run_check(claim_id, p, dict(items), precision=precision)
+
+
+# bench/probe.py names this task's span suite.grid_task.
+def _grid_one(task: tuple) -> list[GridLine]:
+    return [(encode_report(r, task[-1]), None if r.ok else r) for r in _grid_check(task)]
 
 
 def grid_reports(
@@ -506,16 +542,25 @@ def grid_reports(
     are enumerated in lexicographic order; output order is deterministic
     for any worker count.
     """
-    claim = _claim_for(claim_id, precision)
-    names = claim.params
-    for name in names:
-        if name not in ranges:
-            raise PreconditionError(f"claim {claim.id} needs parameter {name!r}")
-    tasks = []
-    for combo in itertools.product(*(ranges[name] for name in names)):
-        params = dict(zip(names, combo))
-        if claim.domain is not None and not claim.domain(p, **params):
-            continue
-        tasks.append((claim.id, p, tuple(params.items()), precision))
-    results = parallel_map(_grid_one, tasks, workers)
-    return [rep for group in results for rep in group]
+    tasks = _grid_tasks(claim_id, p, ranges, precision, None)
+    return [rep for group in parallel_map(_grid_check, tasks, workers) for rep in group]
+
+
+def grid_lines(
+    claim_id: str,
+    p: int,
+    ranges: dict[str, range],
+    precision: int | None = None,
+    workers: int = 1,
+    fmt: str = "json",
+) -> list[GridLine]:
+    """grid_reports' checks as report lines in fmt ("json" or "csv").
+
+    Each worker checks and encodes its points and sends back, per check,
+    the line and, only if the check failed, its report: a line pickles
+    in a small fraction of the time a report with Fraction fields takes.
+    join_lines(line for line, _ in result) is the report file that
+    reports_to_jsonl or reports_to_csv would write from grid_reports.
+    """
+    tasks = _grid_tasks(claim_id, p, ranges, precision, fmt)
+    return [line for group in parallel_map(_grid_one, tasks, workers) for line in group]

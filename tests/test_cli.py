@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wolsten import bernoulli
+from wolsten import bernoulli, cli
 from wolsten.cli import main
 
 
@@ -52,12 +52,38 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bailey5_workers_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["verify", "--claim", "bailey5", "--pmin", "13", "--pmax", "17",
-                "--N-max", "2", "--n-max", "12", "--out"]
-        assert run_cli(*args, str(a), "--workers", "1") == 0
-        assert run_cli(*args, str(b), "--workers", "2") == 0
-        assert a.read_bytes() == b.read_bytes()
+        for fmt in ("json", "csv"):
+            a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+            args = ["verify", "--claim", "bailey5", "--pmin", "13", "--pmax", "17",
+                    "--N-max", "2", "--n-max", "12", "--format", fmt, "--out"]
+            assert run_cli(*args, str(a), "--workers", "1") == 0
+            assert run_cli(*args, str(b), "--workers", "2") == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_failures_byte_identical_across_workers(self, tmp_path, capsys):
+        # 37 of the 91 checks fail at p = 5, so the summary stops at 20.
+        seen = []
+        for workers in ("1", "2"):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"w{workers}.{fmt}"
+                assert run_cli("verify", "--claim", "main", "--p", "5", "--n-max", "12",
+                               "--workers", workers, "--format", fmt, "--out", str(out)) == 1
+                seen.append((capsys.readouterr().out, out.read_bytes()))
+        assert seen[:2] == seen[2:]
+        assert seen[0][0] == seen[1][0]
+        lines = seen[0][0].splitlines()
+        assert lines[0] == "main_p5: 54/91 pass"
+        assert len(lines) == 22 and lines[-1] == "  ..."
+        assert all(line.startswith("  FAIL p=5 ") for line in lines[1:21])
+
+    @pytest.mark.parametrize("extra", [(), ("--precision", "7")])
+    def test_exploratory_on_two_workers_exits_zero(self, extra, capsys):
+        # At p^7 33 of the 60 checks fail; the verdicts are still not asserted.
+        assert run_cli("verify", "--claim", "thm2_case2", "--p", "5",
+                       "--N-max", "3", "--n-max", "4", "--workers", "2", *extra) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("exploratory run: verdicts reported, not asserted\n")
+        assert ("  FAIL p=5 " in out) == bool(extra)
 
     def test_prime_range(self, capsys):
         assert run_cli("verify", "--claim", "prop_ijk", "--pmin", "3", "--pmax", "31") == 0
@@ -134,6 +160,40 @@ class TestVerifyUsageErrors:
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
                        "--N", "1", "--R", "0", "--n", "3", "--r", "3")
         assert code == 2
+
+
+class TestUnwritableOutput:
+    # Exit 1 means a failed check; a path that cannot be written is a
+    # configuration error, found before the work starts.
+    @pytest.fixture(params=["missing-dir", "directory"])
+    def bad_path(self, request, tmp_path):
+        return tmp_path / "missing" / "x.json" if request.param == "missing-dir" else tmp_path
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started the work before checking the output path")
+
+        monkeypatch.setattr(bernoulli, "primes_in_range", refuse)
+        monkeypatch.setattr(cli, "grid_lines", refuse)
+        monkeypatch.setattr(cli, "find_exact_quadruples", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--claim", "main", "--p", "7", "--n-max", "4"),
+        ("search", "--p", "7"),
+        ("scan", "--pmin", "5", "--pmax", "2000"),
+    ], ids=("verify", "search", "scan"))
+    def test_out_exits_two(self, argv, bad_path, no_work, capsys):
+        assert run_cli(*argv, "--out", str(bad_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad_path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_scan_checkpoint_exits_two(self, tmp_path, no_work, capsys):
+        ck = tmp_path / "missing" / "ck.json"
+        assert run_cli("scan", "--pmax", "2000", "--checkpoint", str(ck)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {ck}: ") and len(err.splitlines()) == 1
 
 
 class TestScan:

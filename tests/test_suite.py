@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -16,7 +17,13 @@ from wolsten.errors import (
 )
 from wolsten.harmonic import composition_sum_bruteforce
 from wolsten.padic import INFINITE, primes_in_range, valuation
-from wolsten.report import congruence_report, reports_to_csv, reports_to_jsonl
+from wolsten.report import (
+    congruence_report,
+    encode_report,
+    join_lines,
+    reports_to_csv,
+    reports_to_jsonl,
+)
 from wolsten.suite import (
     CLAIMS,
     check_bailey4,
@@ -105,6 +112,21 @@ class TestBailey5:
         assert rep.lhs_residue == lhs % 17**3
         assert rep.diff_valuation == valuation(lhs - rhs, 17)
         assert rep.ok
+
+    @pytest.mark.parametrize("precision", [1, 3, 5, 6])
+    def test_modular_route_matches_exact_on_a_grid(self, precision):
+        # N >= 1 at p = 13 puts the top argument past 2000: the modular
+        # route, with passing and failing checks at precisions 5 and 6.
+        p = 13
+        for N, R, n, r in itertools.product(range(1, 3), range(0, 3), (0, 1, 5, 12), (0, 2, 12)):
+            rep = check_bailey5(p, N, R, n, r, precision=precision)
+            lhs = math.comb(N * p**3 + n, R * p**3 + r) if R <= N else 0
+            rhs = math.comb(N, R) * math.comb(n, r)
+            v = valuation(lhs - rhs, p)
+            assert rep.lhs_residue == lhs % p**precision
+            assert rep.rhs_residue == rhs % p**precision
+            assert rep.diff_valuation == v
+            assert rep.ok == (v >= precision)
 
     def test_exact_equality_big_arguments(self):
         rep = check_bailey5(31, 6, 6, 12, 12)
@@ -403,6 +425,17 @@ class TestDispatchAndGrids:
         b = grid_reports("bailey4", 7, {"n": range(0, 6), "r": range(0, 6)}, workers=2)
         assert reports_to_jsonl(a) == reports_to_jsonl(b)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_lines_encode_grid_reports(self, fmt, workers):
+        # p = 5 fails 37 of these 91 checks; only failed checks carry a report.
+        ranges = {"n": range(0, 13), "r": range(0, 13)}
+        reps = grid_reports("main_p5", 5, ranges)
+        lines = suite.grid_lines("main_p5", 5, ranges, workers=workers, fmt=fmt)
+        assert [line for line, _ in lines] == [encode_report(r, fmt) for r in reps]
+        assert [rep for _, rep in lines] == [None if r.ok else r for r in reps]
+        assert sum(rep is not None for _, rep in lines) == 37
+
     def test_missing_range(self):
         with pytest.raises(PreconditionError):
             grid_reports("main_p5", 7, {"n": range(3)})
@@ -516,6 +549,45 @@ class TestReportSerialization:
         assert (rep.lhs_residue, rep.rhs_residue) == (1, 1)
         assert rep.lhs_exact == Fraction(50) and isinstance(rep.lhs_exact, Fraction)
         assert congruence_report("x", 7, 2, 50, Fraction(1), {}).ok
+
+    # (p, precision, lhs, rhs, holds): a zero difference, negative values,
+    # a valuation far past the precision, a failing residue, a failed
+    # extra condition.
+    @pytest.mark.parametrize("p, precision, lhs, rhs, holds", [
+        (7, 3, 1716, 1716, True),
+        (5, 5, -751, 126, True),
+        (5, 3, -3, -3 + 5**40 * 2, True),
+        (13, 5, 10**60 + 7, -(10**59), True),
+        (7, 2, 50, 1, False),
+        (11, 1, 0, -11 * 4, True),
+    ])
+    def test_int_route_matches_fraction_route(self, p, precision, lhs, rhs, holds):
+        fast = congruence_report("x", p, precision, lhs, rhs, {"k": 1}, holds=holds)
+        slow = congruence_report("x", p, precision, Fraction(lhs), Fraction(rhs), {"k": 1}, holds=holds)
+        assert (fast.lhs_residue, fast.rhs_residue) == (slow.lhs_residue, slow.rhs_residue)
+        assert fast.diff_valuation == slow.diff_valuation == valuation(Fraction(lhs - rhs), p)
+        assert fast.verdict == slow.verdict
+        assert (fast.lhs_exact, fast.rhs_exact) == (slow.lhs_exact, slow.rhs_exact)
+        assert isinstance(fast.lhs_exact, Fraction) and isinstance(fast.rhs_exact, Fraction)
+        for fmt in ("json", "csv"):
+            assert encode_report(fast, fmt) == encode_report(slow, fmt)
+        assert fast == slow
+
+    def test_precision_below_one_rejected(self):
+        for lhs in (3, Fraction(3)):
+            with pytest.raises(PreconditionError, match="precision must be >= 1, got 0"):
+                congruence_report("x", 7, 0, lhs, 1, {})
+        for precision in (0, -1):  # the exact and the modular route
+            for N in (0, 2):
+                with pytest.raises(PreconditionError, match=f"must be >= 1, got {precision}"):
+                    check_bailey5(17, N, 1, 9, 4, precision=precision)
+
+    def test_encoded_lines_join_into_the_report_file(self):
+        reps = grid_reports("main_p5", 5, {"n": range(0, 6), "r": range(0, 6)})
+        assert join_lines(encode_report(r) for r in reps) == reports_to_jsonl(reps)
+        lines = [encode_report(r, "csv") for r in reps]
+        assert join_lines(lines, "csv") == reports_to_csv(reps)
+        assert reports_to_csv(reps).startswith("claim_id,p,params,precision,lhs_exact,")
 
     def test_jsonl_fields(self):
         import json
