@@ -12,8 +12,6 @@ is imported only when a scan starts.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import threading
@@ -24,6 +22,7 @@ from .errors import PreconditionError, WolstenError
 from .harmonic import Composition, mhs_mod
 from .padic import PrimePower, Residue, is_prime, primes_in_range, reduce_mod
 from .parallel import parallel_map
+from .report import encode_report, join_lines
 
 DEFAULT_EXACT_BOUND = 400
 
@@ -127,6 +126,15 @@ class IrregularRecord:
     b_pm3_mod_p: int
     irregular: bool
 
+    CSV_COLUMNS = ("p", "w_mod_p", "b_pm3_mod_p", "irregular")
+
+    def to_obj(self) -> dict:
+        w, b = str(self.w_mod_p), str(self.b_pm3_mod_p)
+        return {"p": self.p, "w_mod_p": w, "b_pm3_mod_p": b, "irregular": self.irregular}
+
+    def csv_row(self) -> list:
+        return [self.p, self.w_mod_p, self.b_pm3_mod_p, "true" if self.irregular else "false"]
+
 
 def _scan_block(primes: tuple[int, ...]) -> list[tuple[int, int]]:
     from . import kernel
@@ -205,22 +213,8 @@ def read_checkpoint(path: str) -> dict:
 
 
 def records_to_jsonl(records: list[IrregularRecord]) -> str:
-    lines = []
-    for r in records:
-        obj = {
-            "p": r.p,
-            "w_mod_p": str(r.w_mod_p),
-            "b_pm3_mod_p": str(r.b_pm3_mod_p),
-            "irregular": r.irregular,
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    return join_lines(encode_report(r) for r in records)
 
 
-def records_to_csv(records: list[IrregularRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["p", "w_mod_p", "b_pm3_mod_p", "irregular"])
-    for r in records:
-        w.writerow([r.p, r.w_mod_p, r.b_pm3_mod_p, "true" if r.irregular else "false"])
-    return buf.getvalue()
+def records_to_csv(records: list[IrregularRecord], new_file: bool = True) -> str:
+    return join_lines((encode_report(r, "csv") for r in records), "csv", IrregularRecord, new_file)

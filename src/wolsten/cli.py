@@ -28,8 +28,9 @@ from .bernoulli import (
 from .errors import WolstenError
 from .harmonic import Composition, mhs_exact, mhs_mod
 from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
+from .report import encode_report, join_lines, render_table, table_row
 # grid_reports and reports_to_jsonl are unused here; bench/probe.py patches them.
-from .report import join_lines, render_table, reports_to_jsonl, table_row  # noqa: F401
+from .report import reports_to_jsonl  # noqa: F401
 from .suite import (  # noqa: F401
     CLAIMS,
     Claim,
@@ -92,21 +93,30 @@ def _out_file(args: argparse.Namespace) -> Path | None:
     return path
 
 
-def _write(path: Path, text: str, mode: str = "w") -> None:
+def _write(path: Path | None, text: str, append: bool = False) -> None:
+    """Write text to path (appending to it if asked), or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
-        with open(path, mode, encoding="utf-8") as fh:
+        with open(path, "a" if append else "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise WolstenError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _primes_for(args: argparse.Namespace) -> list[int]:
+def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
+    # A range skips the primes below the claim's smallest; a --p there is an error.
     if args.p is not None:
         if not is_prime(args.p):
             raise WolstenError(f"--p {args.p} is not prime")
         return [args.p]
     if args.pmin is not None and args.pmax is not None:
-        return primes_in_range(args.pmin, args.pmax)
+        primes = primes_in_range(max(args.pmin, claim.min_p), args.pmax)
+        if not primes:
+            raise WolstenError(f"[{args.pmin}, {args.pmax}] has no prime >= {claim.min_p}, "
+                               f"the smallest claim {claim.id} takes")
+        return primes
     raise WolstenError("give either --p or both --pmin and --pmax")
 
 
@@ -148,7 +158,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     out = _out_file(args)
     results = []
     exploratory = True  # verdicts at a claim's exploratory primes are not asserted
-    for p in _primes_for(args):
+    for p in _primes_for(args, claim):
         lines = grid_lines(
             claim.id, p, ranges, precision=args.precision, workers=workers, fmt=args.format
         )
@@ -166,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"  FAIL p={r.p} {r.params}: lhs={r.lhs_residue} rhs={r.rhs_residue} "
             f"v(diff)={r.diff_valuation} (mod {r.p}^{r.precision})"
         )
-    if len(failed) >= 20:
+    if len(failed) > 20:
         print("  ...")
     if exploratory:
         print("exploratory run: verdicts reported, not asserted")
@@ -203,16 +213,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         p_min, p_max, workers=workers, checkpoint_path=args.checkpoint, start=start
     )
     emitted = [r for r in records if r.irregular] if args.irregular_only else records
-    text = records_to_csv(emitted) if args.format == "csv" else records_to_jsonl(emitted)
-    if out:
-        if args.resume and out.exists():
-            if args.format == "csv":
-                text = "".join(text.splitlines(keepends=True)[1:])
-            _write(out, text, "a")
-        else:
-            _write(out, text)
-    else:
-        sys.stdout.write(text)
+    append = bool(out and args.resume and out.exists())  # then no second CSV header
+    if args.format == "csv":
+        _write(out, records_to_csv(emitted, new_file=not append), append)
+    else:  # bench/probe.py counts the records through this call
+        _write(out, records_to_jsonl(emitted), append)
     irregular = [r.p for r in records if r.irregular]
     print(
         f"scanned {len(records)} primes in [{start}, {p_max}]; "
@@ -225,18 +230,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     out = _out_file(args)
     hits = find_exact_quadruples(args.p, workers=_workers(args))
-    lines = [
-        json.dumps(
-            {"N": h.N, "R": h.R, "n": h.n, "r": h.r, "nontrivial": h.nontrivial},
-            separators=(",", ":"),
-        )
-        for h in hits
-    ]
-    text = "".join(line + "\n" for line in lines)
-    if out:
-        _write(out, text)
-    else:
-        sys.stdout.write(text)
+    _write(out, join_lines(encode_report(h) for h in hits))
     nontrivial = [h for h in hits if h.nontrivial]
     print(
         f"p={args.p}: {len(hits)} hits, {len(nontrivial)} nontrivial",

@@ -1,12 +1,11 @@
-"""Structured verdicts of congruence checks and their serialization.
+"""Structured verdicts of congruence checks, and the one line encoder.
 
 One CongruenceReport is produced per checked claim instance;
 congruence_report builds every one that has exact values.  JSON is the
 canonical format (one object per check, fixed key order, deterministic
 bytes); CSV is a lossy projection with params flattened to "k=v;k=v".
-encode_report gives one report's line in either format, so a grid
-worker can ship the line instead of the report, and join_lines turns
-such lines into a report file.
+encode_report writes the line of every record type, a report, a scan
+record or a search hit, and join_lines turns lines into a file.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import PreconditionError
 from .padic import INFINITE, PrimePower, Rational, _int_valuation, padic_congruent, reduce_mod
@@ -47,6 +47,11 @@ class CongruenceReport:
     rhs_exact: Fraction | None = None
     params: dict = field(default_factory=dict)
 
+    CSV_COLUMNS = (  # a class attribute, not a field
+        "claim_id", "p", "params", "precision", "lhs_exact", "lhs_residue",
+        "rhs_exact", "rhs_residue", "diff_valuation", "verdict",
+    )
+
     @property
     def ok(self) -> bool:
         return self.verdict == PASS
@@ -68,6 +73,14 @@ class CongruenceReport:
             "diff_valuation": "inf" if dv == math.inf else int(dv),
             "verdict": self.verdict,
         }
+
+    def csv_row(self) -> list:
+        """The cells under CSV_COLUMNS; a missing exact value is ""."""
+        o = self.to_obj()
+        lhs, rhs = o["lhs"], o["rhs"]
+        params = ";".join(f"{k}={v}" for k, v in o["params"].items())
+        return [o["claim_id"], o["p"], params, o["precision"], lhs["exact"] or "", lhs["residue"],
+                rhs["exact"] or "", rhs["residue"], o["diff_valuation"], o["verdict"]]
 
 
 def _exact_text(x: Fraction | None) -> str | None:
@@ -128,59 +141,35 @@ def congruence_report(
     )
 
 
-CSV_COLUMNS = (
-    "claim_id",
-    "p",
-    "params",
-    "precision",
-    "lhs_exact",
-    "lhs_residue",
-    "rhs_exact",
-    "rhs_residue",
-    "diff_valuation",
-    "verdict",
-)
-
 # json.dumps builds a new encoder on every call that passes separators.
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-class _Echo:
-    """A file whose write returns its text: csv.writer.writerow then returns the row."""
-
-    def write(self, text: str) -> str:
-        return text
+# writerow returns what its file's write returns: here, the row's text.
+_CSV = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n")
 
 
-_CSV = csv.writer(_Echo(), lineterminator="\n")
+def encode_report(r, fmt: str = "json") -> str:
+    """One record's line, newline included: r.to_obj() as JSON, or r.csv_row() ("csv").
 
-
-def encode_report(r: CongruenceReport, fmt: str = "json") -> str:
-    """One report's line, newline included: a JSON object, or a CSV row ("csv")."""
-    obj = r.to_obj()
+    r is a CongruenceReport, a bernoulli.IrregularRecord or a suite.QuadrupleHit;
+    the last has no CSV form.
+    """
     if fmt == "json":
-        return _JSON.encode(obj) + "\n"
+        return _JSON.encode(r.to_obj()) + "\n"
     if fmt != "csv":
         raise PreconditionError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
-    return _CSV.writerow(
-        [
-            obj["claim_id"],
-            obj["p"],
-            ";".join(f"{k}={v}" for k, v in obj["params"].items()),
-            obj["precision"],
-            obj["lhs"]["exact"] or "",
-            obj["lhs"]["residue"],
-            obj["rhs"]["exact"] or "",
-            obj["rhs"]["residue"],
-            obj["diff_valuation"],
-            obj["verdict"],
-        ]
-    )
+    return _CSV.writerow(r.csv_row())
 
 
-def join_lines(lines: Iterable[str], fmt: str = "json") -> str:
-    """A report file from encode_report lines; CSV starts with its header row."""
-    header = _CSV.writerow(CSV_COLUMNS) if fmt == "csv" else ""
+def join_lines(
+    lines: Iterable[str], fmt: str = "json", kind: type = CongruenceReport, new_file: bool = True
+) -> str:
+    """A file from encode_report lines of kind's records, or the tail to append to one.
+
+    Only a new CSV file (new_file true) starts with the header row kind.CSV_COLUMNS.
+    """
+    header = _CSV.writerow(kind.CSV_COLUMNS) if fmt == "csv" and new_file else ""
     return header + "".join(lines)
 
 

@@ -384,6 +384,9 @@ class QuadrupleHit:
     r: int
     nontrivial: bool
 
+    def to_obj(self) -> dict:
+        return {"N": self.N, "R": self.R, "n": self.n, "r": self.r, "nontrivial": self.nontrivial}
+
 
 def _search_rows(args: tuple[int, int]) -> list[QuadrupleHit]:
     p, N = args
@@ -419,8 +422,9 @@ class Claim:
     ``check(p=p, **params)``, plus ``precision`` when ``takes_precision``,
     returns one report or a tuple; ids outside ``reports`` (default: the
     id) are rejected.  ``domain(p, **params)`` trims grids; the checkers
-    keep their own, looser, argument checks.  Verdicts at ``exploratory``
-    primes are reported but not asserted.
+    keep their own, looser, argument checks.  ``min_p`` is the smallest
+    prime the checker takes; a prime range skips those below it.  Verdicts
+    at ``exploratory`` primes are reported but not asserted.
     """
 
     id: str
@@ -431,6 +435,7 @@ class Claim:
     aliases: tuple[str, ...] = ()
     takes_precision: bool = True
     exploratory: frozenset[int] = frozenset()
+    min_p: int = 5
 
     def __post_init__(self) -> None:
         if not self.reports:
@@ -445,21 +450,21 @@ CLAIMS = (
     Claim("bailey5", ("N", "R", "n", "r"), check_bailey5,
           lambda p, N, R, n, r: n < p and r < p),
     Claim("kazandzidis_k1", ("n", "r"), functools.partial(check_kazandzidis, form="K1"),
-          lambda p, n, r: 1 <= r <= n),
+          lambda p, n, r: 1 <= r <= n, min_p=3),
     Claim("kazandzidis_k2", ("n", "r"), functools.partial(check_kazandzidis, form="K2"),
-          lambda p, n, r: 0 <= r <= n),
+          lambda p, n, r: 0 <= r <= n, min_p=3),
     Claim("main_p5", ("n", "r"), check_main, lambda p, n, r: r <= n, aliases=("main",)),
     Claim("main_exp", ("n", "r", "e"), check_main_exp, lambda p, n, r, e: r <= n),
     Claim("thm2_case1", ("N", "R", "n", "r"), check_thm2_case1,
           lambda p, N, R, n, r: R <= N and r <= n < p),
     Claim("thm2_case2", ("N", "R", "n", "r"), check_thm2_case2,
           lambda p, N, R, n, r: R <= N and 1 <= n < r < p, exploratory=frozenset({5})),
-    Claim("prop_ijk", (), check_prop_ijk, takes_precision=False),
+    Claim("prop_ijk", (), check_prop_ijk, takes_precision=False, min_p=3),
     Claim("cor_ijk", (), check_cor_ijk, takes_precision=False),
     Claim("ji_zhoucai", ("n_parts",), check_ji_zhoucai,
           lambda p, n_parts: 2 <= n_parts <= p - 2, takes_precision=False),
     Claim("h12", (), lambda p: h12_checks(p), reports=("h12", "h12p"),
-          aliases=("h12p",), takes_precision=False),
+          aliases=("h12p",), takes_precision=False, min_p=7),
     Claim("genwols", ("s", "d"), lambda p, s, d: genwols_check(s, d, p),
           lambda p, s, d: p >= s * d + 3, takes_precision=False),
 )

@@ -9,6 +9,8 @@ import pytest
 
 from wolsten import bernoulli, cli
 from wolsten.cli import main
+from wolsten.report import encode_report
+from wolsten.suite import check_main
 
 
 def run_cli(*argv):
@@ -88,6 +90,38 @@ class TestVerify:
     def test_prime_range(self, capsys):
         assert run_cli("verify", "--claim", "prop_ijk", "--pmin", "3", "--pmax", "31") == 0
         assert "10/10 pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("claim, pmin, pmax, summary", [
+        ("h12", "5", "60", "h12: 28/28 pass"),
+        ("wolstenholme", "2", "30", "wolstenholme: 8/8 pass"),
+    ])
+    def test_range_skips_primes_below_the_claims_smallest(self, claim, pmin, pmax, summary,
+                                                          capsys):
+        assert run_cli("verify", "--claim", claim, "--pmin", pmin, "--pmax", pmax) == 0
+        assert capsys.readouterr().out == summary + "\n"
+
+    def test_explicit_prime_below_the_claims_smallest_exits_two(self, capsys):
+        assert run_cli("verify", "--claim", "h12", "--p", "5") == 2
+        assert "p=5" in capsys.readouterr().err
+
+    def test_range_wholly_below_the_claims_smallest_exits_two(self, capsys):
+        assert run_cli("verify", "--claim", "h12", "--pmin", "2", "--pmax", "6") == 2
+        err = capsys.readouterr().err
+        assert "[2, 6] has no prime >= 7" in err and "h12" in err
+
+    @pytest.mark.parametrize("n_failed, ellipsis", [(20, False), (21, True)])
+    def test_fail_summary_ellipsis_only_when_lines_are_left_out(
+        self, n_failed, ellipsis, monkeypatch, capsys
+    ):
+        rep = check_main(5, 4, 1)
+        assert not rep.ok
+        monkeypatch.setattr(cli, "grid_lines", lambda *a, **k: [(encode_report(rep), rep)] * n_failed)
+        assert run_cli("verify", "--claim", "main", "--p", "5", "--n", "4", "--r", "1") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"main_p5: 0/{n_failed} pass"
+        assert len([line for line in lines if line.startswith("  FAIL p=5 ")]) == 20
+        assert (lines[-1] == "  ...") == ellipsis
+        assert len(lines) == 21 + ellipsis
 
     def test_exploratory_p5_case2_exits_zero(self, capsys):
         code = run_cli(
@@ -231,6 +265,25 @@ class TestScan:
                 "--checkpoint", str(ck), "--resume")
         assert part.read_bytes() == full.read_bytes()
 
+    def test_csv_resume_appends_remaining_range(self, tmp_path):
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        ck = tmp_path / "scan.ck"
+        run_cli("scan", "--pmin", "5", "--pmax", "400", "--out", str(full), "--format", "csv")
+        run_cli("scan", "--pmin", "5", "--pmax", "97", "--out", str(part), "--format", "csv")
+        ck.write_text(json.dumps({"p_min": 5, "p_max": 400, "last_p": 97}) + "\n")
+        run_cli("scan", "--pmin", "5", "--pmax", "400", "--out", str(part), "--format", "csv",
+                "--checkpoint", str(ck), "--resume")
+        assert part.read_bytes() == full.read_bytes()
+        assert part.read_text().count("p,w_mod_p") == 1
+
+    @pytest.mark.parametrize("fmt, head", [
+        ("json", '{"p":5,"w_mod_p":"3","b_pm3_mod_p":"1","irregular":false}\n'),
+        ("csv", "p,w_mod_p,b_pm3_mod_p,irregular\n5,3,1,false\n"),
+    ])
+    def test_first_record_bytes(self, fmt, head, capsys):
+        assert run_cli("scan", "--pmax", "100", "--format", fmt) == 0
+        assert capsys.readouterr().out.startswith(head)
+
     def test_resume_keeps_the_scan_range(self, tmp_path):
         part, ck = tmp_path / "part.json", tmp_path / "scan.ck"
         run_cli("scan", "--pmin", "5", "--pmax", "97", "--out", str(part))
@@ -302,6 +355,11 @@ class TestSearch:
         nontrivial = [(o["N"], o["R"], o["n"], o["r"]) for o in objs if o["nontrivial"]]
         assert len(nontrivial) == 7 and (4, 2, 5, 2) in nontrivial
         assert "7 nontrivial" in capsys.readouterr().err
+
+    def test_first_hit_bytes(self, capsys):
+        assert run_cli("search", "--p", "7") == 0
+        out = capsys.readouterr().out
+        assert out.startswith('{"N":1,"R":1,"n":1,"r":1,"nontrivial":false}\n')
 
     def test_p17_without_size_cap(self, tmp_path, capsys):
         out_file = tmp_path / "hits.json"

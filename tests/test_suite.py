@@ -530,6 +530,14 @@ class TestRegistry:
         for alias in claim.aliases:
             assert lookup_claim(alias) is claim
 
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
+    def test_min_p_is_the_smallest_prime_the_checker_takes(self, claim):
+        p, params, _ = _INSTANCES[claim.id]
+        assert claim.min_p == p
+        for q in primes_in_range(2, p - 1):
+            with pytest.raises(PreconditionError, match=rf"p={q}\b"):
+                run_check(claim.id, q, params)
+
     def test_names_unique(self):
         names = [name for c in CLAIMS for name in (c.id, *c.aliases)]
         assert len(names) == len(set(names))
