@@ -6,8 +6,8 @@ quotient.  Their agreement is a tested invariant, not an assumption.
 The scanner flags primes with H(1;p-1) == 0 mod p^3, equivalently primes
 dividing the numerator of B_{p-3}.  It gets w_p mod p from E. Lehmer's
 congruence sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) (Ann. of Math. 39,
-1938), summed mod p in int64 numpy blocks by ``wolsten.kernel``, which
-is imported only when a scan starts.
+1938), summed mod p by ``wolsten.kernel`` in numpy passes over a block
+of primes at once; the kernel is imported only when a scan starts.
 """
 
 from __future__ import annotations
@@ -104,15 +104,16 @@ def bernoulli_pm3_mod_p(p: int, route: str = "exact") -> Residue:
 # --------------------------------------------------------------------------
 # Irregular-pair scan
 
-# The kernel multiplies two residues below p in int64, so it needs
-# (p - 1)^2 < 2^63, which holds up to p = 3037000500; the bound is rounded.
+# The kernel multiplies two residues below p in 64-bit lanes; it is held
+# to (p - 1)^2 < 2^63, which holds up to p = 3037000500, so that every
+# product also fits an int64.  The bound is rounded.
 KERNEL_P_LIMIT = 3_030_000_000
 
 SCAN_BLOCK_SIZE = 64
 
-# A prime costs the kernel about 4.5 ns per unit of p (10 ms at p = 2.1e6),
-# and a 2-worker pool about 0.06 s to import, start and stop (both measured
-# on a 2-core machine).  A block per worker repays the pool once a window's
+# A large prime costs the kernel about 4.5 ns per unit of p (9.5 ms at
+# p = 2124679, in 64-bit lanes), and a 2-worker pool about 0.06 s to
+# import, start and stop (both measured on a 2-core machine).  A block per worker repays the pool once a window's
 # primes sum to about 3e7; the threshold leaves a margin over that.
 _SPLIT_WORK = 10**8
 
@@ -139,7 +140,7 @@ class IrregularRecord:
 def _scan_block(primes: tuple[int, ...]) -> list[tuple[int, int]]:
     from . import kernel
 
-    return [(p, kernel._w_mod_p(p)) for p in primes]
+    return list(zip(primes, kernel._w_mod_block(primes)))
 
 
 def irregular_scan(
@@ -152,7 +153,7 @@ def irregular_scan(
     """Scan every prime in [p_min, p_max] for the irregular pair (p, p-3).
 
     Gets w_p mod p, which is -B_{p-3}/3 mod p, from Lehmer's congruence
-    sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) in O(p) int64 work per
+    sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) in O(p) numpy work per
     prime, and flags primes where it vanishes, that is where
     H(1;p-1) == 0 mod p^3.  p_max must be below KERNEL_P_LIMIT (3.03e9).
     Work is split into contiguous blocks of at most 64 primes across
@@ -165,7 +166,7 @@ def irregular_scan(
     """
     if p_max >= KERNEL_P_LIMIT:
         raise PreconditionError(
-            f"p_max={p_max} must be below {KERNEL_P_LIMIT}, the int64 scan kernel's bound"
+            f"p_max={p_max} must be below {KERNEL_P_LIMIT}, the scan kernel's bound"
         )
     if workers < 1:
         raise PreconditionError(f"workers must be >= 1, got {workers}")

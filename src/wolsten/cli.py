@@ -25,6 +25,7 @@ from .bernoulli import (
     records_to_csv,
     records_to_jsonl,
 )
+from .binomial import _TABLE_CAP
 from .errors import WolstenError
 from .harmonic import Composition, mhs_exact, mhs_mod
 from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
@@ -227,8 +228,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _search_top(p: int) -> int:
+    # The largest binomial argument a search at p hands binom_mod.
+    return (p - 1) * p**3 + p - 1
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     out = _out_file(args)
+    if _search_top(args.p) > _TABLE_CAP:
+        fits = max(q for q in primes_in_range(7, args.p) if _search_top(q) <= _TABLE_CAP)
+        raise WolstenError(
+            f"--p {args.p}: the search's largest binomial argument, {_search_top(args.p)}, "
+            f"exceeds the {_TABLE_CAP}-entry prefix table of binom_mod; the largest prime "
+            f"it takes is {fits}"
+        )
     hits = find_exact_quadruples(args.p, workers=_workers(args))
     _write(out, join_lines(encode_report(h) for h in hits))
     nontrivial = [h for h in hits if h.nontrivial]

@@ -24,9 +24,12 @@ from .errors import (
 # Sentinel valuation of 0: compares greater than every finite valuation.
 INFINITE = math.inf
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24,
-# far beyond the supported scan range.
+# Deterministic Miller-Rabin witness sets: the first twelve primes decide
+# every n < 3.3 * 10^24, and the first four every n below 3215031751, the
+# least strong pseudoprime to bases 2, 3, 5 and 7 (Jaeschke, Math. Comp.
+# 61, 1993), which covers the scan kernel's range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_SMALL_BOUND = 3215031751
 
 Rational = Fraction | int
 
@@ -43,7 +46,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_SMALL_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -59,8 +59,8 @@ class CongruenceReport:
     def to_obj(self) -> dict:
         """JSON-ready dict with the fixed schema and key order.
 
-        An exact value is null also when its decimal form passes Python's
-        int-to-string limit, sys.get_int_max_str_digits().
+        An exact value is null also when its numerator or denominator has
+        more than EXACT_DIGITS (4300) decimal digits.
         """
         dv = self.diff_valuation
         return {
@@ -83,16 +83,25 @@ class CongruenceReport:
                 rhs["exact"] or "", rhs["residue"], o["diff_valuation"], o["verdict"]]
 
 
+# An exact value is written only while its numerator and denominator have
+# at most this many decimal digits, CPython's default int-to-string limit;
+# past it a report line would run to megabytes.  The bound is fixed, so
+# report bytes do not depend on PYTHONINTMAXSTRDIGITS.
+EXACT_DIGITS = 4300
+_EXACT_BOUND = 10**EXACT_DIGITS
+
+
 def _exact_text(x: Fraction | None) -> str | None:
-    # None when a numerator or denominator has more decimal digits than
-    # sys.get_int_max_str_digits() allows, where str() raises ValueError;
-    # raising the limit would write megabytes per report line.
-    if x is None:
+    if x is None or x.denominator >= _EXACT_BOUND or not -_EXACT_BOUND < x.numerator < _EXACT_BOUND:
         return None
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError:
-        return None
+        # This interpreter's limit is below EXACT_DIGITS; Decimal's
+        # conversion is not subject to it.
+        from decimal import Decimal
+
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def verdict_of(passed: bool) -> str:
@@ -159,6 +168,8 @@ def encode_report(r, fmt: str = "json") -> str:
         return _JSON.encode(r.to_obj()) + "\n"
     if fmt != "csv":
         raise PreconditionError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
+    if not hasattr(r, "csv_row"):
+        raise PreconditionError(f"{type(r).__name__} records have no CSV form; use 'json'")
     return _CSV.writerow(r.csv_row())
 
 

@@ -1,4 +1,7 @@
 import json
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from wolsten.bernoulli import (
 )
 from wolsten.errors import PreconditionError, WolstenError
 from wolsten.harmonic import Composition, mhs_exact
-from wolsten.kernel import _w_mod_p
+from wolsten.kernel import _w_mod_block, _w_mod_p
 from wolsten.padic import PrimePower, is_prime, primes_in_range, reduce_mod, valuation
 from wolsten.parallel import parallel_map
 
@@ -135,7 +138,83 @@ class TestBernoulliPm3:
             bernoulli_pm3_mod_p(7, route="magic")
 
 
+def _w_by_sum(p):
+    # Independent of the kernel: w_p == S/6 (mod p), S = sum_{k<=(p-1)/2} k^-3.
+    return sum(pow(k, -3, p) for k in range(1, (p + 1) // 2)) * pow(6, -1, p) % p
+
+
 class TestScanKernel:
+    def test_blocks_against_the_inverse_cube_sum(self):
+        primes = primes_in_range(5, 5000)
+        for i in range(0, len(primes), 64):
+            block = tuple(primes[i : i + 64])
+            assert _w_mod_block(block) == [_w_by_sum(p) for p in block], block
+
+    def test_blocks_against_the_quotient_at_spot_primes(self):
+        block = (4999, 5003, 7919, 10007)
+        assert _w_mod_block(block) == [wolstenholme_quotient(p).value % p for p in block]
+
+    @pytest.mark.parametrize("block", [
+        (5,), (7,), (5, 7), (4999,),
+        (65519, 65521, 65537, 65539),  # uint32 lanes, then uint64 lanes
+        (65537,),
+    ])
+    def test_block_shapes(self, block):
+        assert _w_mod_block(block) == [_w_by_sum(p) for p in block]
+        assert _w_mod_block(block) == [_w_mod_p(p) for p in block]
+
+    def test_column_blocks(self, monkeypatch):
+        # A 4 KiB buffer and blocks of 64 columns: 5..65521 share one
+        # uint32 group whose rows end in different blocks, and 65537 runs
+        # in uint64 lanes, 512 column blocks of its own.
+        monkeypatch.setattr(kernel, "_BUFFER_BYTES", 1 << 12)
+        monkeypatch.setattr(kernel, "_MAX_COLUMNS", 64)
+        monkeypatch.setattr(kernel, "_spare", [])
+        block = (5, 7, 101, 1019, 1031, 1033, 4999, 65521, 65537)
+        assert kernel._groups(block) == [[5, 7, 101, 1019, 1031, 1033, 4999, 65521], [65537]]
+        assert _w_mod_block(block) == [_w_by_sum(p) for p in block]
+
+    def test_wolstenholme_primes_in_blocks(self):
+        # 2124679 runs in column blocks of the default buffer.
+        assert _w_mod_block((16831, 16843, 16871))[1] == 0
+        w = _w_mod_block((2124667, 2124679, 2124757))
+        assert w[1] == 0 and w[0] != 0 and w[2] != 0
+
+    def test_block_errors_name_the_prime(self, monkeypatch):
+        with pytest.raises(PreconditionError, match="p=9 "):
+            _w_mod_block((5, 7, 9, 11))
+        # 2 is a primitive root mod 5 and mod 11, but has order 3 mod 7.
+        monkeypatch.setattr(kernel, "_primitive_root", lambda p: 2)
+        with pytest.raises(WolstenError, match="self-check failed at p=7"):
+            _w_mod_block((5, 7, 11))
+
+    def test_threads_take_separate_buffers(self):
+        blocks = [tuple(primes_in_range(lo, lo + 3000)) for lo in (5, 20000, 40000, 60000)]
+        expected = [_w_mod_block(b) for b in blocks]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(_w_mod_block, b) for b in blocks * 3]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert results == expected * 3
+
+    def test_block_memory_does_not_grow_with_its_primes(self):
+        primes = primes_in_range(40000, 50000)[:64]
+        _w_mod_block(tuple(primes))  # the buffers exist from here on
+        peaks = []
+        for n in (8, 64):
+            tracemalloc.start()
+            _w_mod_block(tuple(primes[:n]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # One lane buffer alone is 1 MiB; what a block allocates is small
+        # and the same for 8 primes and for 64.
+        assert peaks[1] < 64 * 1024, peaks
+        assert peaks[1] < peaks[0] + 8 * 1024, peaks
+
     def test_against_exact_bernoulli(self):
         # -3 w_p == B_{p-3} (mod p), with B_{p-3} from the exact recurrence
         for p in primes_in_range(5, 403):
@@ -202,7 +281,8 @@ class TestScan:
 
     def test_workers_do_not_change_output(self):
         base = records_to_jsonl(irregular_scan(5, 2000, workers=1))
-        assert records_to_jsonl(irregular_scan(5, 2000, workers=2)) == base
+        for workers in (2, 8):
+            assert records_to_jsonl(irregular_scan(5, 2000, workers=workers)) == base
 
     @pytest.mark.parametrize(
         "lo, hi, blocks",

@@ -1,13 +1,16 @@
 import json
+import os
 import shlex
 import shutil
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wolsten import bernoulli, cli
+from wolsten import bernoulli, cli, report
 from wolsten.cli import main
 from wolsten.report import encode_report
 from wolsten.suite import check_main
@@ -368,6 +371,16 @@ class TestSearch:
         assert "p=17: 304 hits" in capsys.readouterr().err
         assert run_cli("search", "--p", "7", "--method", "modular") == 0
 
+    def test_past_the_prefix_table_exits_two_at_once(self, capsys):
+        # (p-1) p^3 + p - 1 must fit binom_mod's 2^22-entry table: 43 is
+        # the largest prime that does.
+        start = time.perf_counter()
+        assert run_cli("search", "--p", "47", "--workers", "2") == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --p 47: ") and err.endswith("the largest prime it takes is 43\n")
+
     @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--budget", "1")])
     def test_removed_options_exit_two(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -483,16 +496,8 @@ class TestReport:
 
 
 class TestHugeExactValues:
-    # Exact values past Python's int-to-string limit are written as null;
-    # residues and diff_valuation stay.
-    @pytest.fixture(autouse=True)
-    def default_limit(self):
-        # Python's default, whatever PYTHONINTMAXSTRDIGITS says.
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        yield
-        sys.set_int_max_str_digits(old)
-
+    # Exact values past 4300 digits are written as null; residues and
+    # diff_valuation stay.
     @pytest.mark.parametrize("argv", [
         ("--claim", "main_exp", "--p", "11", "--n", "12", "--r", "5", "--e", "3"),
         ("--claim", "thm2_case1", "--p", "17", "--N", "6", "--R", "3", "--n", "2", "--r", "1"),
@@ -511,6 +516,38 @@ class TestHugeExactValues:
         capsys.readouterr()
         assert run_cli("report", "--in", str(js)) == 0
         assert "1/1 pass" in capsys.readouterr().out
+
+    def test_the_bound_is_4300_digits_under_any_limit(self):
+        below, at = 10**4300 - 1, 10**4300
+        old = sys.get_int_max_str_digits()
+        try:
+            for limit in (0, 640, 4300):
+                sys.set_int_max_str_digits(limit)
+                assert report._exact_text(Fraction(-below, 7)) == "-" + "9" * 4300 + "/7"
+                assert report._exact_text(Fraction(1, below)) == "1/" + "9" * 4300
+                assert report._exact_text(Fraction(at, 7)) is None
+                assert report._exact_text(Fraction(-at, 7)) is None
+                assert report._exact_text(Fraction(1, at)) is None
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    # At p = 11 the exact values have between 640 and 4300 digits, at
+    # p = 17 more than 4300.
+    @pytest.mark.parametrize("p, size", [("11", 2617), ("17", 221)])
+    def test_bytes_do_not_depend_on_the_digit_limit(self, tmp_path, p, size):
+        argv = ["verify", "--claim", "thm2_case1", "--p", p, "--N", "6", "--R", "3", "--n", "2", "--r", "1"]
+        files = []
+        for limit in (None, "0", "640"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            files.append(tmp_path / f"limit{limit}.json")
+            subprocess.run(
+                [sys.executable, "-m", "wolsten.cli", *argv, "--out", str(files[-1])],
+                env=env, check=True, capture_output=True,
+            )
+        assert [f.stat().st_size for f in files] == [size] * 3
+        assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
 
 
 class TestEnvironment:

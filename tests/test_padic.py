@@ -35,6 +35,12 @@ class TestPrimality:
         for n in (561, 1105, 25326001, 3215031751):
             assert not is_prime(n)
 
+    def test_four_bases_agree_with_the_sieve_below_their_bound(self):
+        # Below 3215031751 is_prime uses the witnesses 2, 3, 5 and 7 only.
+        lo, hi = 3215031751 - 3000, 3215031751 + 1000
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+        assert primes_in_range(2, 100000) == [n for n in range(2, 100001) if is_prime(n)]
+
     def test_large_primes(self):
         assert is_prime(16843)
         assert is_prime(2124679)

@@ -403,6 +403,12 @@ class TestQuadrupleSearch:
         hits = find_exact_quadruples(11)
         assert any(h.nontrivial for h in hits)
 
+    def test_hits_have_no_csv_form(self):
+        hit = find_exact_quadruples(7)[0]
+        assert encode_report(hit) == '{"N":1,"R":1,"n":1,"r":1,"nontrivial":false}\n'
+        with pytest.raises(PreconditionError, match="QuadrupleHit records have no CSV form"):
+            encode_report(hit, "csv")
+
 
 class TestDispatchAndGrids:
     def test_run_check_dispatch(self):
