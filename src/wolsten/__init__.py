@@ -10,7 +10,6 @@ nontrivial-congruence search tool.
 from .bernoulli import (
     IrregularRecord,
     bernoulli_exact,
-    bernoulli_pm3_mod_p,
     irregular_scan,
     wolstenholme_quotient,
 )
@@ -23,8 +22,6 @@ from .binomial import (
 )
 from .errors import (
     BudgetExceededError,
-    MixedModulusError,
-    NegativeValuationError,
     NonIntegralError,
     NotInvertibleError,
     PreconditionError,
@@ -36,7 +33,6 @@ from .harmonic import (
     composition_sum,
     composition_sum_bruteforce,
     composition_sum_exact,
-    fn_polynomial_coeffs,
     fp_polynomial_coeffs,
     genwols_check,
     h12_checks,

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError, WolstenError
 from .harmonic import Composition, mhs_mod
-from .padic import PrimePower, Residue, is_prime, primes_in_range, reduce_mod
+# reduce_mod is unused here; bench/probe.py patches it.
+from .padic import PrimePower, Residue, is_prime, primes_in_range, reduce_mod  # noqa: F401
 from .parallel import parallel_map
 from .report import encode_report, join_lines
 
@@ -82,23 +83,6 @@ def wolstenholme_quotient(p: int) -> Residue:
             f"H(1;{p - 1}) has {p}-adic valuation < 2; impossible for a prime >= 5"
         )
     return Residue(h // (p * p), PrimePower(p, 2))
-
-
-def bernoulli_pm3_mod_p(p: int, route: str = "exact") -> Residue:
-    """B_{p-3} mod p, by exact reduction or through the quotient w_p.
-
-    The exact route reduces the rational B_{p-3} (its denominator is
-    coprime to p by von Staudt-Clausen since (p-1) does not divide (p-3));
-    the quotient route returns -3 * w_p mod p.
-    """
-    if not is_prime(p) or p < 5:
-        raise PreconditionError(f"p={p} must be a prime >= 5")
-    if route == "exact":
-        return reduce_mod(bernoulli_exact(p - 3), PrimePower(p, 1))
-    if route == "quotient":
-        w = wolstenholme_quotient(p).value
-        return Residue(-3 * w, PrimePower(p, 1))
-    raise PreconditionError(f"unknown route {route!r}; use 'exact' or 'quotient'")
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +199,3 @@ def read_checkpoint(path: str) -> dict:
 
 def records_to_jsonl(records: list[IrregularRecord]) -> str:
     return join_lines(encode_report(r) for r in records)
-
-
-def records_to_csv(records: list[IrregularRecord], new_file: bool = True) -> str:
-    return join_lines((encode_report(r, "csv") for r in records), "csv", IrregularRecord, new_file)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bernoulli import (
+    IrregularRecord,
     bernoulli_exact,
     irregular_scan,
     read_checkpoint,
-    records_to_csv,
     records_to_jsonl,
 )
 from .binomial import _TABLE_CAP
@@ -216,7 +216,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     emitted = [r for r in records if r.irregular] if args.irregular_only else records
     append = bool(out and args.resume and out.exists())  # then no second CSV header
     if args.format == "csv":
-        _write(out, records_to_csv(emitted, new_file=not append), append)
+        lines = (encode_report(r, "csv") for r in emitted)
+        _write(out, join_lines(lines, "csv", IrregularRecord, new_file=not append), append)
     else:  # bench/probe.py counts the records through this call
         _write(out, records_to_jsonl(emitted), append)
     irregular = [r.p for r in records if r.irregular]
@@ -286,16 +287,29 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     return 0
 
 
+_REPORT_TAKES = "wolsten report renders the JSON lines of verify reports and scan records"
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     path = _out_path(getattr(args, "in"))
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-        objs = [(i, json.loads(line)) for i, line in enumerate(lines, 1) if line]
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WolstenError(f"cannot read report {path}: {exc}") from exc
+    objs = []
+    for i, line in enumerate(lines, 1):
+        if not line:
+            continue
+        try:
+            objs.append((i, json.loads(line)))
+        except json.JSONDecodeError:
+            raise WolstenError(f"{path} line {i} is not JSON; {_REPORT_TAKES}") from None
     if not objs:
         raise WolstenError(f"report {path} is empty")
-    verify_report = isinstance(objs[0][1], dict) and "claim_id" in objs[0][1]
+    first = objs[0][1] if isinstance(objs[0][1], dict) else {}
+    if "nontrivial" in first:
+        raise WolstenError(f"{path} holds search hits; {_REPORT_TAKES}")
+    verify_report = "claim_id" in first
     rows = []
     for i, o in objs:
         try:

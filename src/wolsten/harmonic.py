@@ -239,24 +239,6 @@ def fp_polynomial_coeffs(n: int) -> list[int]:
     return coeffs
 
 
-def fn_polynomial_coeffs(n: int) -> list[int]:
-    """Ascending coefficients of F_n(x) = (x+1)(x+2)...(x+n).
-
-    Equals n! * (1 + H(1;n) x + H(1,1;n) x^2 + ...), the generating
-    polynomial of the nested harmonic partial sums.
-    """
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    coeffs = [1]
-    for m in range(1, n + 1):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] += m * c
-        coeffs = nxt
-    return coeffs
-
-
 def h12_checks(p: int) -> tuple[CongruenceReport, CongruenceReport]:
     """The two harmonic identities behind the mod-p^5 binomial refinement.
 

@@ -212,8 +212,3 @@ def _w_mod_block(primes: tuple[int, ...]) -> list[int]:
     finally:
         np.setbufsize(bufsize)
         _spare.append(spare)
-
-
-def _w_mod_p(p: int) -> int:
-    """w_p mod p: the block kernel on the block (p,)."""
-    return _w_mod_block((p,))[0]

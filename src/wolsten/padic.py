@@ -1,4 +1,4 @@
-"""Residue arithmetic modulo prime powers and p-adic valuation of rationals.
+"""Residues modulo prime powers and p-adic valuation of rationals.
 
 Everything downstream (harmonic sums, Bernoulli numbers, binomial
 congruence checks) is built on the three value types here: ``PrimePower``
@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    MixedModulusError,
-    NonIntegralError,
-    NotInvertibleError,
-    PreconditionError,
-)
+from .errors import NonIntegralError, NotInvertibleError, PreconditionError
 
 # Sentinel valuation of 0: compares greater than every finite valuation.
 INFINITE = math.inf
@@ -117,8 +112,8 @@ class PrimePower:
 class Residue:
     """An integer in [0, p^k) together with its modulus.
 
-    Arithmetic is only defined between residues sharing one modulus;
-    anything else raises MixedModulusError rather than coercing.
+    A residue is a value, not a number type: it has no arithmetic.
+    Compute on ``.value`` and build a new Residue from the result.
     """
 
     value: int
@@ -126,34 +121,6 @@ class Residue:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", self.value % self.modulus.modulus)
-
-    def _check(self, other: "Residue") -> None:
-        if not isinstance(other, Residue):
-            raise TypeError(f"cannot combine Residue with {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise MixedModulusError(
-                f"mixed moduli {self.modulus} and {other.modulus}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __pow__(self, e: int) -> "Residue":
-        if e < 0:
-            return inverse_mod(self) ** (-e)
-        return Residue(pow(self.value, e, self.modulus.modulus), self.modulus)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -210,14 +177,15 @@ def batch_inverse(values: list[Residue]) -> list[Residue]:
     """Elementwise inverses using one extended gcd plus O(n) products.
 
     Equivalent to mapping inverse_mod over the list.  A non-invertible
-    entry raises NotInvertibleError naming its index.
+    entry raises NotInvertibleError naming its index, and residues of
+    mixed moduli raise PreconditionError.
     """
     if not values:
         return []
     m = values[0].modulus
     for v in values[1:]:
         if v.modulus != m:
-            raise MixedModulusError(f"mixed moduli {m} and {v.modulus}")
+            raise PreconditionError(f"mixed moduli {m} and {v.modulus}")
     raw = _batch_inverse_ints([v.value for v in values], m.modulus, m.p)
     return [Residue(r, m) for r in raw]
 
@@ -262,8 +230,3 @@ def format_rational(x: Rational) -> str:
     """Canonical "numerator/denominator" form in lowest terms."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; also accepts a bare integer."""
-    return Fraction(text.strip())

@@ -188,10 +188,6 @@ def reports_to_jsonl(reports: list[CongruenceReport]) -> str:
     return join_lines(encode_report(r) for r in reports)
 
 
-def reports_to_csv(reports: list[CongruenceReport]) -> str:
-    return join_lines((encode_report(r, "csv") for r in reports), "csv")
-
-
 def table_row(o: dict) -> tuple[str, ...]:
     """A `report` table row; KeyError, TypeError or AttributeError if o lacks a field."""
     cells = (

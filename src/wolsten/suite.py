@@ -144,42 +144,35 @@ def _integer_congruence(
     )
 
 
-def check_wolstenholme(p: int, precision: int | None = None) -> CongruenceReport:
+def check_wolstenholme(p: int, precision: int = 2) -> CongruenceReport:
     """H(1;p-1) == 0 mod p^2 for primes p >= 5."""
     _require_prime(p, 5)
-    m = 2 if precision is None else precision
     h = mhs_exact(Composition.of(1), p - 1)
-    return congruence_report("wolstenholme", p, m, h, 0, {})
+    return congruence_report("wolstenholme", p, precision, h, 0, {})
 
 
-def check_bailey4(
-    p: int, n: int, r: int, precision: int | None = None
-) -> CongruenceReport:
+def check_bailey4(p: int, n: int, r: int, precision: int = 3) -> CongruenceReport:
     """binom(np, rp) == binom(n, r) mod p^3, with binom(n, r) = 0 when n < r."""
     _require_prime(p, 5)
     if n < 0 or r < 0:
         raise PreconditionError("n and r must be non-negative")
-    m = 3 if precision is None else precision
     return _integer_congruence(
-        "bailey4", p, m, n * p, r * p, binom(n, r), {"n": n, "r": r}
+        "bailey4", p, precision, n * p, r * p, binom(n, r), {"n": n, "r": r}
     )
 
 
-def check_bailey5(
-    p: int, N: int, R: int, n: int, r: int, precision: int | None = None
-) -> CongruenceReport:
+def check_bailey5(p: int, N: int, R: int, n: int, r: int, precision: int = 3) -> CongruenceReport:
     """binom(N p^3 + n, R p^3 + r) == binom(N, R) binom(n, r) mod p^3 for n, r < p."""
     _require_prime(p, 5)
     if min(N, R, n, r) < 0:
         raise PreconditionError("all parameters must be non-negative")
     if n >= p or r >= p:
         raise PreconditionError(f"requires n, r < p, got n={n}, r={r}, p={p}")
-    m = 3 if precision is None else precision
     p3 = p**3
     return _integer_congruence(
         "bailey5",
         p,
-        m,
+        precision,
         N * p3 + n,
         R * p3 + r,
         binom(N, R) * binom(n, r),
@@ -188,7 +181,7 @@ def check_bailey5(
 
 
 def check_kazandzidis(
-    p: int, n: int, r: int, form: str = "K2", precision: int | None = None
+    p: int, n: int, r: int, form: str = "K2", precision: int = 3
 ) -> CongruenceReport:
     """The rising-factorial (K1) and plain (K2) ratio congruences.
 
@@ -197,7 +190,6 @@ def check_kazandzidis(
     for K2.  K1 accepts any integer n (r >= 1); K2 needs n >= r >= 0.
     """
     _require_prime(p, 3)
-    m = 3 if precision is None else precision
     if form == "K1":
         if r < 1:
             raise PreconditionError(f"K1 needs r >= 1, got {r}")
@@ -212,12 +204,10 @@ def check_kazandzidis(
         raise PreconditionError(f"form must be 'K1' or 'K2', got {form!r}")
     rhs = Fraction(1 - p * p * correction) if p == 3 else Fraction(1)
     claim = "kazandzidis_k1" if form == "K1" else "kazandzidis_k2"
-    return congruence_report(claim, p, m, lhs, rhs, {"n": n, "r": r})
+    return congruence_report(claim, p, precision, lhs, rhs, {"n": n, "r": r})
 
 
-def check_main(
-    p: int, n: int, r: int, precision: int | None = None
-) -> CongruenceReport:
+def check_main(p: int, n: int, r: int, precision: int = 5) -> CongruenceReport:
     """binom(np, rp) / binom(n, r) == 1 + w_p n r (n-r) p^3 mod p^5.
 
     The theorem holds for primes >= 7; p = 5 is accepted so the failing
@@ -227,31 +217,23 @@ def check_main(
     _require_prime(p, 5)
     if n < 0 or r < 0:
         raise PreconditionError("n and r must be non-negative")
-    m = 5 if precision is None else precision
     # n < r surfaces as ZeroDenominatorError from the vanishing binom(n, r).
     lhs = ratio(binom(n * p, r * p), binom(n, r))
     rhs = Fraction(1 + _wp(p) * n * r * (n - r) * p**3)
-    return congruence_report("main_p5", p, m, lhs, rhs, {"n": n, "r": r})
+    return congruence_report("main_p5", p, precision, lhs, rhs, {"n": n, "r": r})
 
 
-def check_main_exp(
-    p: int,
-    n: int,
-    r: int,
-    e: int,
-    precision: int | None = None,
-) -> CongruenceReport:
+def check_main_exp(p: int, n: int, r: int, e: int, precision: int = 5) -> CongruenceReport:
     """The same mod-p^5 congruence with p replaced by p^e, any e >= 1."""
     _require_prime(p, 5)
     if e < 1:
         raise PreconditionError(f"e must be >= 1, got {e}")
     if n * p**e > _EXP_BUDGET:
         raise BudgetExceededError(f"n*p^e = {n * p**e} exceeds budget {_EXP_BUDGET}")
-    m = 5 if precision is None else precision
     pe = p**e
     lhs = ratio(binom(n * pe, r * pe), binom(n, r))
     rhs = Fraction(1 + _wp(p) * n * r * (n - r) * p**3)
-    return congruence_report("main_exp", p, m, lhs, rhs, {"n": n, "r": r, "e": e})
+    return congruence_report("main_exp", p, precision, lhs, rhs, {"n": n, "r": r, "e": e})
 
 
 def thm2_c_value(p: int, N: int, R: int, n: int, r: int) -> Fraction:
@@ -264,7 +246,7 @@ def thm2_c_value(p: int, N: int, R: int, n: int, r: int) -> Fraction:
 
 
 def check_thm2_case1(
-    p: int, N: int, R: int, n: int, r: int, precision: int | None = None
+    p: int, N: int, R: int, n: int, r: int, precision: int = 5
 ) -> CongruenceReport:
     """binom(Np^3+n, Rp^3+r) / [binom(N,R) binom(n,r)] == 1 + c p^3 mod p^5.
 
@@ -276,17 +258,16 @@ def check_thm2_case1(
         raise PreconditionError(f"requires 0 <= r <= n < p, got n={n}, r={r}")
     if not 0 <= R <= N:
         raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
-    m = 5 if precision is None else precision
     p3 = p**3
     lhs = Fraction(binom_shifted(N * p3, R * p3, n, r), binom(N, R) * binom(n, r))
     c = thm2_c_value(p, N, R, n, r)
     rhs = 1 + c * p3
     params = {"N": N, "R": R, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"}
-    return congruence_report("thm2_case1", p, m, lhs, rhs, params)
+    return congruence_report("thm2_case1", p, precision, lhs, rhs, params)
 
 
 def check_thm2_case2(
-    p: int, N: int, R: int, n: int, r: int, precision: int | None = None
+    p: int, N: int, R: int, n: int, r: int, precision: int = 5
 ) -> CongruenceReport:
     """binom(Np^3+n, Rp^3+r) / binom(N,R) == (-1)^(r-n+1) ((N-R)/r) binom(r-1,n)^-1 p^3.
 
@@ -298,12 +279,11 @@ def check_thm2_case2(
         raise PreconditionError(f"requires 1 <= n < r < p, got n={n}, r={r}")
     if not 0 <= R <= N:
         raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
-    m = 5 if precision is None else precision
     p3 = p**3
     lhs = Fraction(binom_shifted(N * p3, R * p3, n, r), binom(N, R))
     sign = -1 if (r - n + 1) % 2 else 1
     rhs = sign * Fraction(N - R, r) * Fraction(1, binom(r - 1, n)) * p3
-    return congruence_report("thm2_case2", p, m, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
+    return congruence_report("thm2_case2", p, precision, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
 
 
 def check_prop_ijk(p: int) -> CongruenceReport:
@@ -419,8 +399,9 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
 class Claim:
     """One claim: its parameters, checker, grid domain and report ids.
 
-    ``check(p=p, **params)``, plus ``precision`` when ``takes_precision``,
-    returns one report or a tuple; ids outside ``reports`` (default: the
+    ``check(p=p, **params)``, plus ``precision`` when one is given (only
+    to a claim that ``takes_precision``; the checker's signature holds the
+    default), returns one report or a tuple; ids outside ``reports`` (default: the
     id) are rejected.  ``domain(p, **params)`` trims grids; the checkers
     keep their own, looser, argument checks.  ``min_p`` is the smallest
     prime the checker takes; a prime range skips those below it.  Verdicts
@@ -492,7 +473,7 @@ def run_check(
 ) -> list[CongruenceReport]:
     """Run one claim instance; h12 yields its two linked reports."""
     claim = _claim_for(claim_id, precision)
-    kwargs = {"precision": precision} if claim.takes_precision else {}
+    kwargs = {} if precision is None else {"precision": precision}
     out = claim.check(p=p, **params, **kwargs)
     reports = [out] if isinstance(out, CongruenceReport) else list(out)
     for rep in reports:
@@ -564,8 +545,9 @@ def grid_lines(
     Each worker checks and encodes its points and sends back, per check,
     the line and, only if the check failed, its report: a line pickles
     in a small fraction of the time a report with Fraction fields takes.
-    join_lines(line for line, _ in result) is the report file that
-    reports_to_jsonl or reports_to_csv would write from grid_reports.
+    join_lines((line for line, _ in result), fmt) is the report file that
+    join_lines writes from grid_reports' reports, each put through
+    encode_report(report, fmt).
     """
     tasks = _grid_tasks(claim_id, p, ranges, precision, fmt)
     return [line for group in parallel_map(_grid_one, tasks, workers) for line in group]

@@ -10,19 +10,19 @@ from fraction_reference import bernoulli_numbers
 from wolsten import bernoulli, kernel, padic
 from wolsten.bernoulli import (
     KERNEL_P_LIMIT,
+    IrregularRecord,
     bernoulli_exact,
-    bernoulli_pm3_mod_p,
     irregular_scan,
     read_checkpoint,
-    records_to_csv,
     records_to_jsonl,
     wolstenholme_quotient,
 )
 from wolsten.errors import PreconditionError, WolstenError
 from wolsten.harmonic import Composition, mhs_exact
-from wolsten.kernel import _w_mod_block, _w_mod_p
+from wolsten.kernel import _w_mod_block
 from wolsten.padic import PrimePower, is_prime, primes_in_range, reduce_mod, valuation
 from wolsten.parallel import parallel_map
+from wolsten.report import encode_report, join_lines
 
 
 class TestBernoulliExact:
@@ -110,21 +110,27 @@ class TestWolstenholmeQuotient:
                 wolstenholme_quotient(bad)
 
 
+def _b_exact(p):
+    # B_{p-3} mod p by reducing the exact Bernoulli number
+    return reduce_mod(bernoulli_exact(p - 3), PrimePower(p, 1)).value
+
+
+def _b_quotient(p):
+    # B_{p-3} mod p as -3 w_p
+    return -3 * wolstenholme_quotient(p).value % p
+
+
 class TestBernoulliPm3:
     def test_p7_both_routes(self):
         # B_4 = -1/30 == 3 mod 7, and -3*27 == 3 mod 7
-        assert bernoulli_pm3_mod_p(7, route="exact").value == 3
-        assert bernoulli_pm3_mod_p(7, route="quotient").value == 3
+        assert _b_exact(7) == _b_quotient(7) == 3
 
     def test_p5_both_routes(self):
-        assert bernoulli_pm3_mod_p(5, route="exact").value == 1
-        assert bernoulli_pm3_mod_p(5, route="quotient").value == 1
+        assert _b_exact(5) == _b_quotient(5) == 1
 
     def test_route_agreement(self):
-        for p in primes_in_range(7, 199):
-            exact = bernoulli_pm3_mod_p(p, route="exact")
-            quotient = bernoulli_pm3_mod_p(p, route="quotient")
-            assert exact == quotient, p
+        for p in primes_in_range(5, 401):
+            assert _b_exact(p) == _b_quotient(p), p
 
     def test_glaisher_relation(self):
         # w_p + (1/3) B_{p-3} == 0 mod p
@@ -133,14 +139,15 @@ class TestBernoulliPm3:
             b = bernoulli_exact(p - 3)
             assert reduce_mod(w + Fraction(1, 3) * b, PrimePower(p, 1)).value == 0
 
-    def test_unknown_route(self):
-        with pytest.raises(PreconditionError):
-            bernoulli_pm3_mod_p(7, route="magic")
-
 
 def _w_by_sum(p):
     # Independent of the kernel: w_p == S/6 (mod p), S = sum_{k<=(p-1)/2} k^-3.
     return sum(pow(k, -3, p) for k in range(1, (p + 1) // 2)) * pow(6, -1, p) % p
+
+
+def _w_mod_p(p):
+    # The kernel on the one-prime block (p,).
+    return _w_mod_block((p,))[0]
 
 
 class TestScanKernel:
@@ -218,8 +225,7 @@ class TestScanKernel:
     def test_against_exact_bernoulli(self):
         # -3 w_p == B_{p-3} (mod p), with B_{p-3} from the exact recurrence
         for p in primes_in_range(5, 403):
-            b = bernoulli_pm3_mod_p(p, route="exact").value
-            assert -3 * _w_mod_p(p) % p == b, p
+            assert -3 * _w_mod_p(p) % p == _b_exact(p), p
         assert _w_mod_p(5) == 3  # w_5 = 23
 
     def test_against_harmonic_quotient(self):
@@ -310,7 +316,8 @@ class TestScan:
         assert all(isinstance(o["w_mod_p"], str) for o in objs)
 
     def test_csv_shape(self):
-        text = records_to_csv(irregular_scan(5, 12))
+        lines = (encode_report(r, "csv") for r in irregular_scan(5, 12))
+        text = join_lines(lines, "csv", IrregularRecord)
         lines = text.splitlines()
         assert lines[0] == "p,w_mod_p,b_pm3_mod_p,irregular"
         assert lines[1] == "5,3,1,false"

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import shlex
@@ -494,6 +496,33 @@ class TestReport:
         assert err.startswith(f"error: {path} line {line}: malformed ")
         assert len(err.splitlines()) == 1
 
+    _TAKES = "wolsten report renders the JSON lines of verify reports and scan records\n"
+
+    def test_search_hits_are_named(self, tmp_path, capsys):
+        hits = tmp_path / "hits.json"
+        assert run_cli("search", "--p", "7", "--out", str(hits)) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(hits)) == 2
+        assert capsys.readouterr().err == f"error: {hits} holds search hits; {self._TAKES}"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--claim", "main", "--p", "7", "--n-max", "3"),
+        ("scan", "--pmax", "50"),
+    ], ids=("verify", "scan"))
+    def test_csv_is_not_json_lines(self, tmp_path, capsys, argv):
+        path = tmp_path / "s.csv"
+        assert run_cli(*argv, "--format", "csv", "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path} line 1 is not JSON; {self._TAKES}"
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\x80\x81\n")
+        assert run_cli("report", "--in", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read report {path}: 'utf-8' codec can't decode")
+
 
 class TestHugeExactValues:
     # Exact values past 4300 digits are written as null; residues and
@@ -637,3 +666,48 @@ class TestReadme:
                 argv[argv.index("--in") + 1] = str(scan_out)
             assert run_cli(*argv) == (1 if "--p 5 " in command else 0), line
             assert comment.strip() in capsys.readouterr().out, line
+
+    def test_library_block(self):
+        # README's Python block, run as written.  A trailing comment that is
+        # an expression (`# 23`, `# Fraction(17, 32)`) is the value of its
+        # line's expression; prose comments are not compared.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        namespace: dict = {}
+        compared = []
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            try:
+                expected = eval(compile(comment, "README.md", "eval"), namespace)
+            except SyntaxError:
+                continue
+            assert value == expected, lines[stmt.end_lineno - 1]
+            compared.append(comment)
+        assert compared == ["23", "Fraction(17, 32)", "('pass', 5)", "[16843]"]
+
+
+class TestBenchProbe:
+    def test_probe_plan_resolves(self):
+        # bench/probe.py wraps wolsten functions by module and name; a name
+        # deleted or renamed in src/ would leave its traced runs blind.  The
+        # script is parsed, not imported.
+        probe = Path(__file__).parents[1] / "bench" / "probe.py"
+        assigned = {
+            node.targets[0].id: node.value
+            for node in ast.walk(ast.parse(probe.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        plan = [(entry.elts[0].value, entry.elts[1].value) for entry in assigned["plan"].elts]
+        task_names = ast.literal_eval(assigned["task_names"])
+        targets = plan + [(span.split(".")[0], fn) for fn, span in task_names.items()]
+        assert len(plan) > 20 and len(task_names) == 3
+        missing = [
+            f"wolsten.{module}.{attr}" for module, attr in targets
+            if not hasattr(importlib.import_module(f"wolsten.{module}"), attr)
+        ]
+        assert missing == []

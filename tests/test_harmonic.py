@@ -14,7 +14,6 @@ from wolsten.harmonic import (
     composition_sum,
     composition_sum_bruteforce,
     composition_sum_exact,
-    fn_polynomial_coeffs,
     fp_polynomial_coeffs,
     genwols_check,
     h12_checks,
@@ -246,14 +245,11 @@ class TestFactorialPolynomials:
         assert fp_polynomial_coeffs(2) == [0, -1, 1]
         assert fp_polynomial_coeffs(1) == [0, 1]
 
-    def test_rising_small(self):
-        # F_2(x) = (x+1)(x+2) = 2 + 3x + x^2 = 2!(1 + H(1;2)x + H(1,1;2)x^2)
-        assert fn_polynomial_coeffs(2) == [2, 3, 1]
-        assert mhs_exact(Composition.of(1), 2) == Fraction(3, 2)
-
     def test_rising_matches_harmonic_sums(self):
+        # F_n(x) = (x+1)...(x+n) = (-1)^(n+1) f_{n+1}(-x) / x has the
+        # coefficients n! H({1}^j; n), the unsigned ones of f_{n+1} shifted.
         for n in range(1, 9):
-            coeffs = fn_polynomial_coeffs(n)
+            coeffs = [abs(c) for c in fp_polynomial_coeffs(n + 1)[1:]]
             fact = math.factorial(n)
             assert coeffs[0] == fact
             for j in range(1, n + 1):
@@ -264,14 +260,6 @@ class TestFactorialPolynomials:
             coeffs = fp_polynomial_coeffs(p)
             value = sum(c * p**i for i, c in enumerate(coeffs))
             assert value == math.factorial(p)
-
-    def test_variant_relation(self):
-        # F_n(x) = (-1)^(n+1) f_{n+1}(-x) / x, checked on coefficients
-        for n in range(1, 10):
-            f = fp_polynomial_coeffs(n + 1)
-            sign = (-1) ** (n + 1)
-            shifted = [sign * (-1) ** (i + 1) * c for i, c in enumerate(f[1:])]
-            assert fn_polynomial_coeffs(n) == shifted
 
 
 class TestH12:

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wolsten.errors import (
-    MixedModulusError,
-    NonIntegralError,
-    NotInvertibleError,
-    PreconditionError,
-)
+from wolsten.errors import NonIntegralError, NotInvertibleError, PreconditionError
 from wolsten.padic import (
     INFINITE,
     PrimePower,
@@ -18,7 +13,6 @@ from wolsten.padic import (
     inverse_mod,
     is_prime,
     padic_congruent,
-    parse_rational,
     primes_in_range,
     reduce_mod,
     valuation,
@@ -95,25 +89,6 @@ class TestResidue:
         assert Residue(50, m).value == 1
         assert Residue(-1, m).value == 48
 
-    def test_arithmetic(self):
-        m = PrimePower(5, 3)
-        a, b = Residue(100, m), Residue(30, m)
-        assert (a + b).value == 5
-        assert (a - b).value == 70
-        assert (a * b).value == 3000 % 125
-        assert (-b).value == 95
-        assert (Residue(2, m) ** 7).value == 128 % 125
-
-    def test_mixed_modulus_is_error(self):
-        a = Residue(1, PrimePower(5, 3))
-        b = Residue(1, PrimePower(5, 2))
-        c = Residue(1, PrimePower(7, 3))
-        for other in (b, c):
-            with pytest.raises(MixedModulusError):
-                a + other
-            with pytest.raises(MixedModulusError):
-                a * other
-
     def test_serializes_as_decimal_string(self):
         assert str(Residue(1323, PrimePower(7, 4))) == "1323"
 
@@ -167,8 +142,9 @@ class TestReduceMod:
         for _ in range(150):
             x = Fraction(rng.randint(-300, 300), rng.choice([1, 2, 3, 5, 9, 11]))
             y = Fraction(rng.randint(-300, 300), rng.choice([1, 4, 6, 13, 15]))
-            assert reduce_mod(x + y, m) == reduce_mod(x, m) + reduce_mod(y, m)
-            assert reduce_mod(x * y, m) == reduce_mod(x, m) * reduce_mod(y, m)
+            a, b = reduce_mod(x, m).value, reduce_mod(y, m).value
+            assert reduce_mod(x + y, m).value == (a + b) % m.modulus
+            assert reduce_mod(x * y, m).value == a * b % m.modulus
 
 
 class TestInverse:
@@ -194,8 +170,7 @@ class TestInverse:
                 v = rng.randrange(1, m.modulus)
                 if v % p == 0:
                     v += 1
-                a = Residue(v, m)
-                assert (a * inverse_mod(a)).value == 1
+                assert v * inverse_mod(Residue(v, m)).value % m.modulus == 1
 
 
 class TestBatchInverse:
@@ -230,7 +205,7 @@ class TestBatchInverse:
             batch_inverse(vals)
 
     def test_mixed_modulus(self):
-        with pytest.raises(MixedModulusError):
+        with pytest.raises(PreconditionError, match="mixed moduli 5\\^3 and 5\\^2"):
             batch_inverse([Residue(1, PrimePower(5, 3)), Residue(1, PrimePower(5, 2))])
 
     def test_empty(self):
@@ -269,8 +244,8 @@ class TestSerialization:
     def test_rational_round_trip(self):
         assert format_rational(Fraction(25, 12)) == "25/12"
         assert format_rational(Fraction(-3)) == "-3/1"
-        assert parse_rational("25/12") == Fraction(25, 12)
-        assert parse_rational("7") == Fraction(7)
+        for x in (Fraction(25, 12), Fraction(-3), Fraction(0)):
+            assert Fraction(format_rational(x)) == x
 
     def test_always_lowest_terms(self):
         assert format_rational(Fraction(50, 24)) == "25/12"
