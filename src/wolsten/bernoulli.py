@@ -88,9 +88,10 @@ def wolstenholme_quotient(p: int) -> Residue:
 # --------------------------------------------------------------------------
 # Irregular-pair scan
 
-# The kernel multiplies two residues below p in 64-bit lanes; it is held
-# to (p - 1)^2 < 2^63, which holds up to p = 3037000500, so that every
-# product also fits an int64.  The bound is rounded.
+# In the kernel's uint64 lanes a product of two residues below p fits
+# while p < 2^32, and a row's sum of (p - 1)/2 of them stays below 2^62
+# while p < 2^31.5, which this bound rounds down.  Every prime below it
+# is also decided by padic's four-base Miller-Rabin test (to 3215031751).
 KERNEL_P_LIMIT = 3_030_000_000
 
 SCAN_BLOCK_SIZE = 64

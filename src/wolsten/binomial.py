@@ -114,9 +114,9 @@ def ratio(num: int | Fraction, den: int | Fraction) -> Fraction:
 # F(n) the p-free part of n!.  Modulo q = p^k, F reduces through the
 # generalized Wilson product: the product of all units up to q is -1 for
 # odd p (and for q in {2,4}), so (m!)_p == (+-1)^(m // q) * g[m mod q]
-# with g a prefix-product table of the units.  When q exceeds every
-# argument no wrap occurs and the table only needs to reach the largest
-# argument seen, which keeps escalated precisions (p^5, p^7, ...) cheap.
+# with g a prefix-product table of the units.  The table only needs to
+# reach min(argument, q - 1): when q exceeds every argument no wrap
+# occurs, which keeps escalated precisions (p^5, p^7, ...) cheap.
 
 _TABLE_CAP = 1 << 22
 _tables: dict[tuple[int, int], array | list] = {}
@@ -142,34 +142,20 @@ def _unit_prefix(p: int, q: int, upto: int) -> array | list:
 
 
 def _p_free_factorial(n: int, p: int, q: int, wilson_negative: bool) -> int:
-    if n < q:
-        if n > _TABLE_CAP:
-            raise BudgetExceededError(
-                f"argument {n} too large for the prefix table (cap {_TABLE_CAP})"
-            )
-        # No wraps possible: every truncation n, n//p, ... stays below q.
-        g = _unit_prefix(p, q, n)
-        res = 1
-        m = n
-        while m:
-            res = res * g[m] % q
-            m //= p
-        return res
-    if q <= _TABLE_CAP:
-        g = _unit_prefix(p, q, q - 1)
-        res = 1
-        wraps = 0
-        m = n
-        while m:
-            res = res * g[m % q] % q
-            wraps += m // q
-            m //= p
-        if wilson_negative and wraps % 2:
-            res = q - res
-        return res
-    raise BudgetExceededError(
-        f"modulus {q} too large for a table but smaller than argument {n}"
-    )
+    upto = min(n, q - 1)
+    if upto > _TABLE_CAP:
+        raise BudgetExceededError(f"argument {n} too large for the prefix table (cap {_TABLE_CAP})")
+    g = _unit_prefix(p, q, upto)
+    res = 1
+    wraps = 0
+    m = n
+    while m:
+        res = res * g[m % q] % q
+        wraps += m // q
+        m //= p
+    if wilson_negative and wraps % 2:
+        res = q - res
+    return res
 
 
 def binom_mod(a: int, b: int, m: PrimePower) -> int:

@@ -188,6 +188,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     workers = _workers(args)
     p_min, p_max = args.pmin, args.pmax
+    if p_max < max(p_min, 5):  # the full range, also when resuming
+        raise WolstenError(f"--pmax {p_max} must be at least --pmin {p_min} and at least 5")
     out = _out_file(args)  # both files are checked before any prime is scanned
     if args.checkpoint:
         _check_writable(args.checkpoint)

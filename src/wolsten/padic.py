@@ -153,14 +153,17 @@ def reduce_mod(x: Rational, m: PrimePower) -> Residue:
     Raises NonIntegralError when the (reduced) denominator of x is
     divisible by p, i.e. when v_p(x) < 0.
     """
+    return Residue(_reduce(x, m.p, m.k), m)
+
+
+def _reduce(x: Rational, p: int, k: int) -> int:
+    # reduce_mod's value in [0, p^k), for a p and k already checked.
+    q = p**k
     if isinstance(x, int):
-        return Residue(x, m)
-    if x.denominator % m.p == 0:
-        raise NonIntegralError(
-            f"denominator of {x} is divisible by {m.p}; cannot reduce mod {m}"
-        )
-    q = m.modulus
-    return Residue(x.numerator * pow(x.denominator, -1, q), m)
+        return x % q
+    if x.denominator % p == 0:
+        raise NonIntegralError(f"denominator of {x} is divisible by {p}; cannot reduce mod {p}^{k}")
+    return x.numerator * pow(x.denominator, -1, q) % q
 
 
 def inverse_mod(a: Residue) -> Residue:

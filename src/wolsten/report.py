@@ -1,9 +1,10 @@
 """Structured verdicts of congruence checks, and the one line encoder.
 
-One CongruenceReport is produced per checked claim instance;
-congruence_report builds every one that has exact values.  JSON is the
-canonical format (one object per check, fixed key order, deterministic
-bytes); CSV is a lossy projection with params flattened to "k=v;k=v".
+One CongruenceReport is produced per checked claim instance, and
+congruence_report builds every one, from exact values, from residues or
+from a side known only modulo each p^k.  JSON is the canonical format
+(one object per check, fixed key order, deterministic bytes); CSV is a
+lossy projection with params flattened to "k=v;k=v".
 encode_report writes the line of every record type, a report, a scan
 record or a search hit, and join_lines turns lines into a file.
 """
@@ -13,13 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .errors import PreconditionError
-from .padic import INFINITE, PrimePower, Rational, _int_valuation, padic_congruent, reduce_mod
+from .errors import BudgetExceededError, PreconditionError
+from .padic import Rational, Residue, _int_valuation, _reduce, valuation
 
 PASS = "pass"
 FAIL = "fail"
@@ -33,7 +34,8 @@ class CongruenceReport:
     exact route, or None when only a modular route was feasible; the
     residues are always present.  ``diff_valuation`` is the true p-adic
     valuation of lhs - rhs (INFINITE when they are equal), so a report can
-    show e.g. "passes mod p^3 but fails mod p^5" in one number.
+    show e.g. "passes mod p^3 but fails mod p^5" in one number; a check
+    decided on residues mod p^j alone reports j when they agree.
     """
 
     claim_id: str
@@ -104,49 +106,63 @@ def _exact_text(x: Fraction | None) -> str | None:
         return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
-def verdict_of(passed: bool) -> str:
-    return PASS if passed else FAIL
-
-
 def congruence_report(
     claim_id: str,
     p: int,
     precision: int,
-    lhs: Rational,
-    rhs: Rational,
+    lhs: Rational | Residue | Callable[[int], int],
+    rhs: Rational | Residue,
     params: dict,
     holds: bool = True,
 ) -> CongruenceReport:
-    """Report for lhs == rhs mod p^precision between exact rationals.
+    """Report for lhs == rhs mod p^precision; every report is built here.
 
-    The verdict passes when v_p(lhs - rhs) >= precision and ``holds``, a
-    claim's extra condition (e.g. the other link of a chain), is true.
-    p is taken to be prime, as every checker has made sure.  Two ints
-    take residues by % and the valuation of their integer difference,
-    the same values the Fraction route gives.
+    The verdict passes when v = v_p(lhs - rhs) >= precision and ``holds``,
+    a claim's extra condition (e.g. the other link of a chain), is true.
+    p is taken to be prime, as every checker has made sure.  The sides
+    take three forms:
+    - exact: ints or Fractions;
+    - residues: two Residues mod one p^j, j >= precision, for values known
+      only mod p^j; v is j, a lower bound, when they agree;
+    - for lhs, a function k -> lhs mod p^k, for an integer too large to
+      expand, with an int rhs; only rhs has an exact value.
     """
-    if isinstance(lhs, int) and isinstance(rhs, int):
-        if precision < 1:
-            raise PreconditionError(f"precision must be >= 1, got {precision}")
-        q = p**precision
-        d = lhs - rhs
-        v = _int_valuation(d, p) if d else INFINITE
-        lhs_res, rhs_res = lhs % q, rhs % q
+    if precision < 1:
+        raise PreconditionError(f"precision must be >= 1, got {precision}")
+    q = p**precision
+    lhs_exact = rhs_exact = None
+    if isinstance(lhs, Residue):
+        m = lhs.modulus
+        if not isinstance(rhs, Residue) or rhs.modulus != m or m.p != p or m.k < precision:
+            raise PreconditionError(f"{claim_id}: residues mod {m} cannot decide {rhs!r} mod {p}^{precision}")
+        d = lhs.value - rhs.value
+        v = _int_valuation(d, p) if d else m.k
+        lhs_res, rhs_res = lhs.value % q, rhs.value % q
+    elif callable(lhs):
+        # Residues only: raise the modulus until the difference shows.  A
+        # passing check's difference vanishes mod p^precision, so the first
+        # modulus is p^(precision+2); it gives lhs mod p^precision too.
+        try:
+            k = precision + 2
+            lhs_k = lhs(k)
+            lhs_res, d = lhs_k % q, (lhs_k - rhs) % p**k
+            while not d:
+                k += 2
+                if k > 64:
+                    raise BudgetExceededError("difference valuation exceeds p^64")
+                d = (lhs(k) - rhs) % p**k
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"{claim_id} p={p} {params}: {exc}") from None
+        v = _int_valuation(d, p)
+        rhs_res, rhs_exact = rhs % q, Fraction(rhs)
     else:
-        ok, v = padic_congruent(lhs, rhs, p, precision)
-        mod = PrimePower(p, precision)
-        lhs_res, rhs_res = reduce_mod(lhs, mod).value, reduce_mod(rhs, mod).value
+        v = valuation(lhs - rhs, p)
+        lhs_res, rhs_res = _reduce(lhs, p, precision), _reduce(rhs, p, precision)
+        lhs_exact, rhs_exact = Fraction(lhs), Fraction(rhs)
     return CongruenceReport(
-        claim_id=claim_id,
-        p=p,
-        precision=precision,
-        lhs_residue=lhs_res,
-        rhs_residue=rhs_res,
-        diff_valuation=v,
-        verdict=verdict_of(v >= precision and holds),
-        lhs_exact=Fraction(lhs),
-        rhs_exact=Fraction(rhs),
-        params=params,
+        claim_id=claim_id, p=p, precision=precision, lhs_residue=lhs_res, rhs_residue=rhs_res,
+        diff_valuation=v, verdict=PASS if v >= precision and holds else FAIL,
+        lhs_exact=lhs_exact, rhs_exact=rhs_exact, params=params,
     )
 
 

@@ -1,9 +1,10 @@
 """One verifier per congruence claim, each returning a CongruenceReport.
 
-Congruences between exact values are reported through
-report.congruence_report; integer congruences may take the prime-power
-modular route when the binomial arguments are too large to expand, with
-the difference valuation still computed exactly by precision escalation.
+Every report comes from report.congruence_report.  Ratio congruences
+hand it exact values; integer congruences hand it the binomial as
+k -> binom mod p^k when its arguments are too large to expand, and the
+engine still finds the difference valuation exactly by raising k; cor_ijk
+past the exact Bernoulli bound hands it residues mod p.
 Negative controls (the p = 5 failures) run through the same verifiers and
 report the failing residues rather than raising.
 
@@ -41,14 +42,14 @@ from .harmonic import (
 # reduce_mod and valuation are unused here; bench/probe.py patches them.
 from .padic import (
     PrimePower,
-    _int_valuation,
+    Residue,
     is_prime,
     padic_congruent,
     reduce_mod,
     valuation,
 )
 from .parallel import parallel_map
-from .report import FAIL, CongruenceReport, congruence_report, encode_report, verdict_of
+from .report import FAIL, CongruenceReport, congruence_report, encode_report
 
 __all__ = [
     "QuadrupleHit",
@@ -106,42 +107,11 @@ def _require_prime(p: int, minimum: int) -> None:
         raise PreconditionError(f"p={p} must be a prime >= {minimum}")
 
 
-def _integer_congruence(
-    claim_id: str,
-    p: int,
-    precision: int,
-    a: int,
-    b: int,
-    rhs: int,
-    params: dict,
-) -> CongruenceReport:
-    """Report for the integer congruence binom(a, b) == rhs mod p^precision."""
-    if b < 0 or b > a or b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
-        return congruence_report(claim_id, p, precision, binom(a, b), rhs, params)
-    q = PrimePower(p, precision).modulus  # PreconditionError if precision < 1
-    # Residues only: raise the modulus until the difference shows.  A
-    # passing check's difference vanishes mod p^precision, so the first
-    # modulus is p^(precision+2); it gives lhs mod p^precision too.
-    k = precision + 2
-    lhs_k = binom_mod(a, b, PrimePower(p, k))
-    lhs_res, d = lhs_k % q, (lhs_k - rhs) % p**k
-    while not d:
-        k += 2
-        if k > 64:
-            raise BudgetExceededError(f"difference valuation for binom({a},{b}) exceeds p^64")
-        d = (binom_mod(a, b, PrimePower(p, k)) - rhs) % p**k
-    v = _int_valuation(d, p)
-    return CongruenceReport(
-        claim_id=claim_id,
-        p=p,
-        precision=precision,
-        lhs_residue=lhs_res,
-        rhs_residue=rhs % q,
-        diff_valuation=v,
-        verdict=verdict_of(v >= precision),
-        rhs_exact=Fraction(rhs),
-        params=params,
-    )
+def _binom_side(p: int, a: int, b: int) -> int | Callable[[int], int]:
+    """binom(a, b) for congruence_report: exact while cheap, else k -> binom(a, b) mod p^k."""
+    if b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
+        return binom(a, b)
+    return lambda k: binom_mod(a, b, PrimePower(p, k))
 
 
 def check_wolstenholme(p: int, precision: int = 2) -> CongruenceReport:
@@ -156,8 +126,8 @@ def check_bailey4(p: int, n: int, r: int, precision: int = 3) -> CongruenceRepor
     _require_prime(p, 5)
     if n < 0 or r < 0:
         raise PreconditionError("n and r must be non-negative")
-    return _integer_congruence(
-        "bailey4", p, precision, n * p, r * p, binom(n, r), {"n": n, "r": r}
+    return congruence_report(
+        "bailey4", p, precision, _binom_side(p, n * p, r * p), binom(n, r), {"n": n, "r": r}
     )
 
 
@@ -169,15 +139,9 @@ def check_bailey5(p: int, N: int, R: int, n: int, r: int, precision: int = 3) ->
     if n >= p or r >= p:
         raise PreconditionError(f"requires n, r < p, got n={n}, r={r}, p={p}")
     p3 = p**3
-    return _integer_congruence(
-        "bailey5",
-        p,
-        precision,
-        N * p3 + n,
-        R * p3 + r,
-        binom(N, R) * binom(n, r),
-        {"N": N, "R": R, "n": n, "r": r},
-    )
+    lhs = _binom_side(p, N * p3 + n, R * p3 + r)
+    rhs = binom(N, R) * binom(n, r)
+    return congruence_report("bailey5", p, precision, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
 
 
 def check_kazandzidis(
@@ -316,18 +280,8 @@ def check_cor_ijk(p: int) -> CongruenceReport:
             # The routes disagree: report the quotient route's residue.
             rep = replace(rep, rhs_residue=rhs_res, verdict=FAIL)
         return rep
-    lhs_res = composition_sum(3, p, PrimePower(p, 1)).value
-    ok = lhs_res == rhs_res
-    return CongruenceReport(
-        claim_id="cor_ijk",
-        p=p,
-        precision=1,
-        lhs_residue=lhs_res,
-        rhs_residue=rhs_res,
-        diff_valuation=1 if ok else 0,
-        verdict=verdict_of(ok),
-        params={},
-    )
+    m = PrimePower(p, 1)
+    return congruence_report("cor_ijk", p, 1, composition_sum(3, p, m), Residue(rhs_res, m), {})
 
 
 def check_ji_zhoucai(p: int, n_parts: int) -> CongruenceReport:

@@ -195,6 +195,19 @@ class TestVerifyUsageErrors:
         claim = argv[1]
         assert capsys.readouterr().err == f"error: claim {claim!r} needs {flag}\n"
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_error_names_the_check(self, workers, capsys):
+        # binom(6 * 89^3 + 5, R * 89^3 + 2) needs a prefix table past the
+        # cap; on 2 workers the error crosses the pool.
+        code = run_cli("verify", "--claim", "bailey5", "--p", "89", "--N", "6", "--R-max", "3",
+                       "--n", "5", "--r", "2", "--workers", workers)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: bailey5 p=89 {'N': 6, 'R': 0, 'n': 5, 'r': 2}: "
+            "argument 4229819 too large for the prefix table (cap 4194304)\n"
+        )
+
     def test_out_of_domain_scalar(self, capsys):
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
                        "--N", "1", "--R", "0", "--n", "3", "--r", "3")
@@ -342,6 +355,30 @@ class TestScan:
         assert run_cli("scan", "--pmax", "400", "--checkpoint", str(ck), "--resume") == 2
         err = capsys.readouterr().err
         assert f"cannot read checkpoint {ck}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("pmin, pmax", [(10, 5), (2, 4)])
+    def test_range_below_five_or_inverted_exits_two(self, tmp_path, pmin, pmax, capsys):
+        out_file = tmp_path / "s.json"
+        out_file.write_text("kept\n")
+        assert run_cli("scan", "--pmin", str(pmin), "--pmax", str(pmax), "--out", str(out_file)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --pmax {pmax} must be at least --pmin {pmin} and at least 5\n"
+        assert out_file.read_text() == "kept\n"
+
+    def test_window_without_a_prime_exits_zero(self, tmp_path, capsys):
+        out_file = tmp_path / "s.json"
+        assert run_cli("scan", "--pmin", "24", "--pmax", "28", "--out", str(out_file)) == 0
+        assert out_file.read_text() == ""
+
+    def test_resume_checks_the_full_range(self, tmp_path, capsys):
+        # Nothing is left after the checkpoint's last prime, and [5, 100] is valid.
+        out_file, ck = tmp_path / "s.json", tmp_path / "scan.ck"
+        assert run_cli("scan", "--pmax", "100", "--out", str(out_file)) == 0
+        text = out_file.read_text()
+        ck.write_text('{"p_min": 5, "p_max": 100, "last_p": 97}')
+        argv = ("scan", "--pmax", "100", "--out", str(out_file), "--checkpoint", str(ck), "--resume")
+        assert run_cli(*argv) == 0
+        assert out_file.read_text() == text
 
     def test_past_kernel_bound_exits_two(self, monkeypatch, capsys):
         def no_sieve(lo, hi):

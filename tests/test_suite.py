@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from wolsten import suite
+from wolsten import padic, suite
 from wolsten.bernoulli import bernoulli_exact
+from wolsten.binomial import binom, binom_mod
 from wolsten.errors import (
     BudgetExceededError,
     PreconditionError,
@@ -16,7 +17,7 @@ from wolsten.errors import (
     ZeroDenominatorError,
 )
 from wolsten.harmonic import composition_sum_bruteforce
-from wolsten.padic import INFINITE, primes_in_range, valuation
+from wolsten.padic import INFINITE, PrimePower, Residue, primes_in_range, valuation
 from wolsten.report import (
     congruence_report,
     encode_report,
@@ -553,6 +554,72 @@ class TestRegistry:
         listed = set(re.findall(r"`([a-z0-9_]+)`", paragraph))
         for claim in CLAIMS:
             assert {claim.id, *claim.aliases} <= listed, claim.id
+
+
+class TestCongruenceEngine:
+    """congruence_report's three forms of side: exact, a function k -> lhs mod p^k, residues."""
+
+    def test_function_form_matches_exact_form(self):
+        # Lucas' rhs makes most differences nonzero and some zero; a zero
+        # difference never shows mod any p^k, so that form raises instead.
+        agree = 0
+        for p, a in itertools.product((5, 7, 11, 13), range(60)):
+            for b in range(a + 1):
+                lhs, rhs = binom(a, b), binom(a // p, b // p) * binom(a % p, b % p)
+
+                def side(k):
+                    return binom_mod(a, b, PrimePower(p, k))
+
+                for precision in range(1, 7):
+                    if lhs == rhs:
+                        if precision == 1 + (a + b) % 6:  # one precision per pair suffices
+                            with pytest.raises(BudgetExceededError, match=r"exceeds p\^64"):
+                                congruence_report("x", p, precision, side, rhs, {})
+                        continue
+                    exact = congruence_report("x", p, precision, lhs, rhs, {})
+                    rep = congruence_report("x", p, precision, side, rhs, {})
+                    assert (rep.lhs_residue, rep.rhs_residue, rep.diff_valuation, rep.verdict) == (
+                        exact.lhs_residue, exact.rhs_residue, exact.diff_valuation, exact.verdict
+                    ), (p, a, b, precision)
+                    assert rep.lhs_exact is None and rep.rhs_exact == exact.rhs_exact
+                    agree += 1
+        assert agree == 40272
+
+    def test_the_p64_bound_names_the_check(self):
+        with pytest.raises(BudgetExceededError, match=r"^bailey4 p=7 \{'n': 2, 'r': 1\}: difference valuation"):
+            congruence_report("bailey4", 7, 3, lambda k: 21, 21, {"n": 2, "r": 1})
+
+    def test_budget_error_of_the_lhs_names_the_check(self):
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^bailey5 p=89 \{'N': 6, 'R': 3, 'n': 5, 'r': 2\}: argument 4229819 too large",
+        ):
+            check_bailey5(89, 6, 3, 5, 2)
+
+    def test_residue_form(self):
+        m = PrimePower(7, 1)
+        rep = congruence_report("x", 7, 1, Residue(3, m), Residue(10, m), {})
+        assert (rep.lhs_residue, rep.rhs_residue, rep.diff_valuation, rep.verdict) == (3, 3, 1, "pass")
+        assert rep.lhs_exact is None and rep.rhs_exact is None
+        rep = congruence_report("x", 7, 1, Residue(3, m), Residue(4, m), {})
+        assert (rep.lhs_residue, rep.rhs_residue, rep.diff_valuation, rep.verdict) == (3, 4, 0, "fail")
+        assert not congruence_report("x", 7, 1, Residue(3, m), Residue(3, m), {}, holds=False).ok
+
+    @pytest.mark.parametrize("precision, rhs", [
+        (1, Residue(3, PrimePower(7, 2))),
+        (1, Residue(3, PrimePower(5, 1))),
+        (1, 3),
+        (2, Residue(3, PrimePower(7, 1))),  # a residue mod 7 cannot decide mod 7^2
+    ])
+    def test_residue_form_needs_one_modulus(self, precision, rhs):
+        with pytest.raises(PreconditionError, match=rf"^x: residues mod 7\^1 cannot decide .* mod 7\^{precision}$"):
+            congruence_report("x", 7, precision, Residue(3, PrimePower(7, 1)), rhs, {})
+
+    def test_fraction_sides_run_no_primality_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or True)
+        rep = congruence_report("x", 7, 5, Fraction(1716), Fraction(18523), {})
+        assert rep.ok and calls == []
 
 
 class TestReportSerialization:
