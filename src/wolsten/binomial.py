@@ -1,15 +1,14 @@
 """Binomial coefficients: exact, rising-factorial, and modulo prime powers.
 
-Exact big-integer evaluation (math.comb / exact rationals) is the default
-route everywhere.  For integer congruences with huge arguments there is a
-prime-power reduction based on Wilson-product factorials and Legendre's
-carry count; it is verdict-equivalent to the exact route and tested
-against it on dense grids.
+Exact big-integer evaluation (math.comb / exact rationals) serves small
+arguments.  Past them every binomial claim reads its binomial from
+binom_mod, a prime-power reduction based on Wilson-product factorials and
+Legendre's carry count; it is verdict-equivalent to the exact route and
+tested against it on dense grids.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from array import array
@@ -18,7 +17,6 @@ from fractions import Fraction
 from .errors import (
     BudgetExceededError,
     PreconditionError,
-    WolstenError,
     ZeroDenominatorError,
 )
 from .padic import PrimePower
@@ -41,34 +39,6 @@ def rising_binom(n: int, r: int) -> Fraction:
     for i in range(r):
         prod *= n + i
     return Fraction(prod, math.factorial(r))
-
-
-@functools.lru_cache(maxsize=16)
-def _comb_cached(n: int, r: int) -> int:
-    return math.comb(n, r)
-
-
-def binom_shifted(a: int, b: int, n: int, r: int) -> int:
-    """binom(a + n, b + r) from a cached binom(a, b), for 0 <= b <= a, n, r >= 0.
-
-    binom(a+n, b+r) = binom(a, b) * (a+1)...(a+n) / [(b+1)...(b+r)]
-    * (a-b)! / (a-b+n-r)!, so a grid over small shifts (n, r) of one big
-    binomial (the thm2 grids' binom(N p^3 + n, R p^3 + r)) pays for
-    math.comb once per (a, b) and then 2 max(n, r) small factors a point.
-    """
-    if not 0 <= b <= a or n < 0 or r < 0:
-        raise PreconditionError(f"need 0 <= b <= a and n, r >= 0, got {(a, b, n, r)}")
-    c, d = a - b, n - r
-    if c + d < 0:
-        return 0
-    # Of the last two ranges one is empty: (a-b)!/(a-b+d)! is a product
-    # in the numerator when d < 0 and in the denominator when d > 0.
-    num = math.prod(range(a + 1, a + n + 1)) * math.prod(range(c + d + 1, c + 1))
-    den = math.prod(range(b + 1, b + r + 1)) * math.prod(range(c + 1, c + d + 1))
-    value, rem = divmod(_comb_cached(a, b) * num, den)
-    if rem:
-        raise WolstenError(f"binom({a}+{n}, {b}+{r}): inexact division by {den}")
-    return value
 
 
 def legendre_valuation(n: int, p: int) -> int:

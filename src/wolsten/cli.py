@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -106,6 +107,10 @@ def _write(path: Path | None, text: str, append: bool = False) -> None:
         raise WolstenError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+# A prime range is sieved in memory that grows with --pmax.
+_PMAX_LIMIT = 10**7
+
+
 def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
     # A range skips the primes below the claim's smallest; a --p there is an error.
     if args.p is not None:
@@ -113,6 +118,9 @@ def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
             raise WolstenError(f"--p {args.p} is not prime")
         return [args.p]
     if args.pmin is not None and args.pmax is not None:
+        if args.pmax >= _PMAX_LIMIT:
+            raise WolstenError(f"--pmin {args.pmin} --pmax {args.pmax}: a prime range must end "
+                               f"below {_PMAX_LIMIT}; give a larger prime alone with --p")
         primes = primes_in_range(max(args.pmin, claim.min_p), args.pmax)
         if not primes:
             raise WolstenError(f"[{args.pmin}, {args.pmax}] has no prime >= {claim.min_p}, "
@@ -157,14 +165,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ranges = _param_ranges(claim, args)
     workers = _workers(args)
     out = _out_file(args)
-    results = []
+    per_prime = []
     exploratory = True  # verdicts at a claim's exploratory primes are not asserted
-    for p in _primes_for(args, claim):
+    # The largest prime runs first, as grid_lines runs its largest points
+    # first: a grid whose arguments pass binom_mod's table fails at once.
+    for p in reversed(_primes_for(args, claim)):
         lines = grid_lines(
             claim.id, p, ranges, precision=args.precision, workers=workers, fmt=args.format
         )
         exploratory &= not lines or p in claim.exploratory
-        results += lines
+        per_prime.append(lines)
+    results = [line for lines in reversed(per_prime) for line in lines]
     if not results:
         raise WolstenError("no parameter combinations matched the claim's domain")
 
@@ -239,7 +250,9 @@ def _search_top(p: int) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     out = _out_file(args)
     if _search_top(args.p) > _TABLE_CAP:
-        fits = max(q for q in primes_in_range(7, args.p) if _search_top(q) <= _TABLE_CAP)
+        # A prime q that fits has (q-1)^4 < _search_top(q) <= cap.
+        below = primes_in_range(7, math.isqrt(math.isqrt(_TABLE_CAP)) + 1)
+        fits = max(q for q in below if _search_top(q) <= _TABLE_CAP)
         raise WolstenError(
             f"--p {args.p}: the search's largest binomial argument, {_search_top(args.p)}, "
             f"exceeds the {_TABLE_CAP}-entry prefix table of binom_mod; the largest prime "

@@ -124,8 +124,9 @@ def congruence_report(
     - exact: ints or Fractions;
     - residues: two Residues mod one p^j, j >= precision, for values known
       only mod p^j; v is j, a lower bound, when they agree;
-    - for lhs, a function k -> lhs mod p^k, for an integer too large to
-      expand, with an int rhs; only rhs has an exact value.
+    - for lhs, a function k -> lhs mod p^k, for a p-integral value too
+      large to expand, with an int or p-integral Fraction rhs; only rhs
+      has an exact value.
     """
     if precision < 1:
         raise PreconditionError(f"precision must be >= 1, got {precision}")
@@ -145,16 +146,16 @@ def congruence_report(
         try:
             k = precision + 2
             lhs_k = lhs(k)
-            lhs_res, d = lhs_k % q, (lhs_k - rhs) % p**k
+            lhs_res, d = lhs_k % q, (lhs_k - _reduce(rhs, p, k)) % p**k
             while not d:
                 k += 2
                 if k > 64:
                     raise BudgetExceededError("difference valuation exceeds p^64")
-                d = (lhs(k) - rhs) % p**k
+                d = (lhs(k) - _reduce(rhs, p, k)) % p**k
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{claim_id} p={p} {params}: {exc}") from None
         v = _int_valuation(d, p)
-        rhs_res, rhs_exact = rhs % q, Fraction(rhs)
+        rhs_res, rhs_exact = _reduce(rhs, p, precision), Fraction(rhs)
     else:
         v = valuation(lhs - rhs, p)
         lhs_res, rhs_res = _reduce(lhs, p, precision), _reduce(rhs, p, precision)

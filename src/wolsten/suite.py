@@ -1,17 +1,19 @@
 """One verifier per congruence claim, each returning a CongruenceReport.
 
-Every report comes from report.congruence_report.  Ratio congruences
-hand it exact values; integer congruences hand it the binomial as
-k -> binom mod p^k when its arguments are too large to expand, and the
-engine still finds the difference valuation exactly by raising k; cor_ijk
-past the exact Bernoulli bound hands it residues mod p.
+Every report comes from report.congruence_report.  The seven binomial
+claims (bailey4, bailey5, kazandzidis_k2, main_p5, main_exp, thm2_case1,
+thm2_case2) take their side binom(a, b) / den from _binom_side, under one
+size rule: exact while the arguments are small, else k -> its residue mod
+p^k, and the engine still finds the difference valuation exactly by
+raising k.  cor_ijk past the exact Bernoulli bound hands it residues mod p.
 Negative controls (the p = 5 failures) run through the same verifiers and
 report the failing residues rather than raising.
 
-A grid's points are enumerated once, by _grid_tasks.  grid_reports
-returns the reports; grid_lines, the CLI's path, has each worker encode
-its reports and send back the lines, with a report only for a failed
-check.
+A grid's points are enumerated once, by _grid_tasks, and run from the
+last to the first, the largest arguments first.  grid_reports returns
+the reports in lexicographic order; grid_lines, the CLI's path, has each
+worker encode its reports and send back the lines, with a report only
+for a failed check.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .bernoulli import (
     bernoulli_exact,
     wolstenholme_quotient,
 )
-from .binomial import binom, binom_mod, binom_shifted, ratio, rising_binom
-from .errors import BudgetExceededError, PreconditionError, WolstenError
+from .binomial import binom, binom_mod, ratio, rising_binom
+from .errors import PreconditionError, WolstenError
 from .harmonic import (
     Composition,
     composition_sum,
@@ -39,10 +41,11 @@ from .harmonic import (
     h12_checks,
     mhs_exact,
 )
-# reduce_mod and valuation are unused here; bench/probe.py patches them.
+# reduce_mod is unused here; bench/probe.py patches it.
 from .padic import (
     PrimePower,
     Residue,
+    _reduce,
     is_prime,
     padic_congruent,
     reduce_mod,
@@ -74,12 +77,9 @@ __all__ = [
     "lookup_claim",
 ]
 
-# Largest top argument for which integer congruences expand the exact
+# Largest top argument for which a binomial claim expands the exact
 # binomial (roughly 600 decimal digits); beyond it the modular route runs.
 _EXACT_ARG_LIMIT = 2_000
-
-# Largest n p^e for which main_exp expands binom(n p^e, r p^e).
-_EXP_BUDGET = 10**6
 
 _h1_cache: list[Fraction] = [Fraction(0)]
 _w_cache: dict[int, int] = {}
@@ -107,11 +107,18 @@ def _require_prime(p: int, minimum: int) -> None:
         raise PreconditionError(f"p={p} must be a prime >= {minimum}")
 
 
-def _binom_side(p: int, a: int, b: int) -> int | Callable[[int], int]:
-    """binom(a, b) for congruence_report: exact while cheap, else k -> binom(a, b) mod p^k."""
+def _binom_side(p: int, a: int, b: int, den: int = 1) -> Fraction | Callable[[int], int]:
+    """binom(a, b) / den for congruence_report: exact while cheap, else k -> its residue mod p^k.
+
+    A binomial 0, 1 or a stays exact, so an exact equality keeps its
+    infinite valuation.  The modular side must be p-integral: with v =
+    v_p(den), binom(a, b) mod p^(k+v) over den is the side mod p^k, and a
+    p left in its denominator raises NonIntegralError.
+    """
     if b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
-        return binom(a, b)
-    return lambda k: binom_mod(a, b, PrimePower(p, k))
+        return ratio(binom(a, b), den)
+    v = valuation(den, p)
+    return lambda k: _reduce(Fraction(binom_mod(a, b, PrimePower(p, k + v)), den), p, k)
 
 
 def check_wolstenholme(p: int, precision: int = 2) -> CongruenceReport:
@@ -162,7 +169,7 @@ def check_kazandzidis(
     elif form == "K2":
         if not 0 <= r <= n:
             raise PreconditionError(f"K2 needs n >= r >= 0, got n={n}, r={r}")
-        lhs = ratio(binom(n * p, r * p), binom(n, r))
+        lhs = _binom_side(p, n * p, r * p, binom(n, r))
         correction = n * r * (n - r)
     else:
         raise PreconditionError(f"form must be 'K1' or 'K2', got {form!r}")
@@ -178,26 +185,27 @@ def check_main(p: int, n: int, r: int, precision: int = 5) -> CongruenceReport:
     residues (751 vs 126 at n=4, r=1) can be reported.  n < r is an
     error, not a vacuous pass.
     """
-    _require_prime(p, 5)
-    if n < 0 or r < 0:
-        raise PreconditionError("n and r must be non-negative")
-    # n < r surfaces as ZeroDenominatorError from the vanishing binom(n, r).
-    lhs = ratio(binom(n * p, r * p), binom(n, r))
-    rhs = Fraction(1 + _wp(p) * n * r * (n - r) * p**3)
-    return congruence_report("main_p5", p, precision, lhs, rhs, {"n": n, "r": r})
+    return _main_report("main_p5", p, n, r, 1, precision, {"n": n, "r": r})
 
 
 def check_main_exp(p: int, n: int, r: int, e: int, precision: int = 5) -> CongruenceReport:
     """The same mod-p^5 congruence with p replaced by p^e, any e >= 1."""
+    return _main_report("main_exp", p, n, r, e, precision, {"n": n, "r": r, "e": e})
+
+
+def _main_report(
+    claim_id: str, p: int, n: int, r: int, e: int, precision: int, params: dict
+) -> CongruenceReport:
     _require_prime(p, 5)
     if e < 1:
         raise PreconditionError(f"e must be >= 1, got {e}")
-    if n * p**e > _EXP_BUDGET:
-        raise BudgetExceededError(f"n*p^e = {n * p**e} exceeds budget {_EXP_BUDGET}")
+    if n < 0 or r < 0:
+        raise PreconditionError("n and r must be non-negative")
     pe = p**e
-    lhs = ratio(binom(n * pe, r * pe), binom(n, r))
-    rhs = Fraction(1 + _wp(p) * n * r * (n - r) * p**3)
-    return congruence_report("main_exp", p, precision, lhs, rhs, {"n": n, "r": r, "e": e})
+    # n < r surfaces as ZeroDenominatorError from the vanishing binom(n, r).
+    lhs = _binom_side(p, n * pe, r * pe, binom(n, r))
+    rhs = 1 + _wp(p) * n * r * (n - r) * p**3
+    return congruence_report(claim_id, p, precision, lhs, rhs, params)
 
 
 def thm2_c_value(p: int, N: int, R: int, n: int, r: int) -> Fraction:
@@ -223,7 +231,7 @@ def check_thm2_case1(
     if not 0 <= R <= N:
         raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
     p3 = p**3
-    lhs = Fraction(binom_shifted(N * p3, R * p3, n, r), binom(N, R) * binom(n, r))
+    lhs = _binom_side(p, N * p3 + n, R * p3 + r, binom(N, R) * binom(n, r))
     c = thm2_c_value(p, N, R, n, r)
     rhs = 1 + c * p3
     params = {"N": N, "R": R, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"}
@@ -244,7 +252,7 @@ def check_thm2_case2(
     if not 0 <= R <= N:
         raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
     p3 = p**3
-    lhs = Fraction(binom_shifted(N * p3, R * p3, n, r), binom(N, R))
+    lhs = _binom_side(p, N * p3 + n, R * p3 + r, binom(N, R))
     sign = -1 if (r - n + 1) % 2 else 1
     rhs = sign * Fraction(N - R, r) * Fraction(1, binom(r - 1, n)) * p3
     return congruence_report("thm2_case2", p, precision, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
@@ -459,6 +467,13 @@ def _grid_tasks(
     return tasks
 
 
+def _run_grid(fn: Callable[[tuple], list], tasks: list[tuple], workers: int) -> list:
+    # The points run last to first, the largest arguments first, so that a
+    # point past binom_mod's prefix table fails before any other work.
+    groups = parallel_map(fn, tasks[::-1], workers)
+    return [item for group in reversed(groups) for item in group]
+
+
 def _grid_check(task: tuple) -> list[CongruenceReport]:
     claim_id, p, items, precision, _ = task
     return run_check(claim_id, p, dict(items), precision=precision)
@@ -482,8 +497,7 @@ def grid_reports(
     are enumerated in lexicographic order; output order is deterministic
     for any worker count.
     """
-    tasks = _grid_tasks(claim_id, p, ranges, precision, None)
-    return [rep for group in parallel_map(_grid_check, tasks, workers) for rep in group]
+    return _run_grid(_grid_check, _grid_tasks(claim_id, p, ranges, precision, None), workers)
 
 
 def grid_lines(
@@ -503,5 +517,4 @@ def grid_lines(
     join_lines writes from grid_reports' reports, each put through
     encode_report(report, fmt).
     """
-    tasks = _grid_tasks(claim_id, p, ranges, precision, fmt)
-    return [line for group in parallel_map(_grid_one, tasks, workers) for line in group]
+    return _run_grid(_grid_one, _grid_tasks(claim_id, p, ranges, precision, fmt), workers)

@@ -8,7 +8,6 @@ from wolsten import binomial
 from wolsten.binomial import (
     binom,
     binom_mod,
-    binom_shifted,
     binom_valuation,
     kummer_valuation_check,
     legendre_valuation,
@@ -18,7 +17,6 @@ from wolsten.binomial import (
 from wolsten.errors import (
     BudgetExceededError,
     PreconditionError,
-    WolstenError,
     ZeroDenominatorError,
 )
 from wolsten.padic import PrimePower, primes_in_range, valuation
@@ -180,35 +178,3 @@ class TestBinomMod:
         for b in (1, 13**3, a // 2):
             binom_mod(a, b, PrimePower(13, 5))
         assert len(binomial._tables[(13, 13**5)]) <= a + 1
-
-
-class TestBinomShifted:
-    def test_matches_comb_on_dense_grids(self):
-        for a in range(0, 30):
-            for b in range(0, a + 1):
-                for n in range(0, 7):
-                    for r in range(0, 7):
-                        assert binom_shifted(a, b, n, r) == math.comb(a + n, b + r), (a, b, n, r)
-
-    def test_matches_comb_on_thm2_grids(self):
-        # N = 0, R = 0, R = N and n < r (zero binomials) are all included.
-        for p in (5, 7, 11):
-            p3 = p**3
-            for N in range(0, 4):
-                for R in range(0, N + 1):
-                    for n in range(0, p):
-                        for r in range(0, p):
-                            got = binom_shifted(N * p3, R * p3, n, r)
-                            assert got == math.comb(N * p3 + n, R * p3 + r), (p, N, R, n, r)
-
-    def test_rejects_bad_arguments(self):
-        for args in ((3, 4, 0, 0), (3, -1, 0, 0), (3, 1, -1, 0), (3, 1, 0, -1)):
-            with pytest.raises(PreconditionError):
-                binom_shifted(*args)
-
-    def test_inexact_division_raises(self, monkeypatch):
-        # A wrong base binomial must not pass silently: 121 * 6 * 7 / (4 * 5)
-        # is not an integer.
-        monkeypatch.setattr(binomial, "_comb_cached", lambda n, r: math.comb(n, r) + 1)
-        with pytest.raises(WolstenError, match="inexact"):
-            binom_shifted(10, 3, 0, 2)

@@ -114,6 +114,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "[2, 6] has no prime >= 7" in err and "h12" in err
 
+    @pytest.mark.parametrize("pmin, pmax", [
+        ("5", "1000000000000"),
+        ("10000000", "10000020"),  # --pmax is bounded however narrow the range
+    ])
+    def test_range_past_the_sieve_bound_exits_two_at_once(self, pmin, pmax, capsys):
+        start = time.perf_counter()
+        assert run_cli("verify", "--claim", "wolstenholme", "--pmin", pmin, "--pmax", pmax) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --pmin {pmin} --pmax {pmax}: ") and "--p" in err
+
     @pytest.mark.parametrize("n_failed, ellipsis", [(20, False), (21, True)])
     def test_fail_summary_ellipsis_only_when_lines_are_left_out(
         self, n_failed, ellipsis, monkeypatch, capsys
@@ -198,15 +210,28 @@ class TestVerifyUsageErrors:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_error_names_the_check(self, workers, capsys):
         # binom(6 * 89^3 + 5, R * 89^3 + 2) needs a prefix table past the
-        # cap; on 2 workers the error crosses the pool.
+        # cap; on 2 workers the error crosses the pool.  A grid runs its
+        # last point first, so the error names R = 3.
         code = run_cli("verify", "--claim", "bailey5", "--p", "89", "--N", "6", "--R-max", "3",
                        "--n", "5", "--r", "2", "--workers", workers)
         assert code == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            "error: bailey5 p=89 {'N': 6, 'R': 0, 'n': 5, 'r': 2}: "
+            "error: bailey5 p=89 {'N': 6, 'R': 3, 'n': 5, 'r': 2}: "
             "argument 4229819 too large for the prefix table (cap 4194304)\n"
         )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_past_the_table_fails_before_other_work(self, workers, capsys):
+        # The grid's points run last to first.  Its last points, r = 5 and
+        # r = 4, are b = a and b = a - 1 on the exact route; the next one
+        # reads binom(6 * 89^3 + 5, ...) past the table, before any N < 6.
+        start = time.perf_counter()
+        code = run_cli("verify", "--claim", "bailey5", "--p", "89", "--N-max", "6", "--n-max", "5",
+                       "--workers", workers)
+        assert code == 2 and time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 5, 'r': 3}: ")
 
     def test_out_of_domain_scalar(self, capsys):
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
@@ -420,6 +445,16 @@ class TestSearch:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: --p 47: ") and err.endswith("the largest prime it takes is 43\n")
 
+    @pytest.mark.parametrize("p", ["100000007", "1000000000000"])
+    def test_huge_p_exits_two_at_once(self, p, capsys):
+        # The largest prime that fits is found without sieving up to --p.
+        start = time.perf_counter()
+        assert run_cli("search", "--p", p) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --p {p}: ") and err.endswith("the largest prime it takes is 43\n")
+
     @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--budget", "1")])
     def test_removed_options_exit_two(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -562,20 +597,22 @@ class TestReport:
 
 
 class TestHugeExactValues:
-    # Exact values past 4300 digits are written as null; residues and
-    # diff_valuation stay.
-    @pytest.mark.parametrize("argv", [
-        ("--claim", "main_exp", "--p", "11", "--n", "12", "--r", "5", "--e", "3"),
-        ("--claim", "thm2_case1", "--p", "17", "--N", "6", "--R", "3", "--n", "2", "--r", "1"),
-    ], ids=("main_exp", "thm2_case1"))
-    def test_out_writes_null(self, tmp_path, capsys, argv):
+    # Exact values past 4300 digits, and binomial sides known only by
+    # their residues (main_exp and thm2_case1 here), are written as null;
+    # residues and diff_valuation stay.
+    @pytest.mark.parametrize("argv, v", [
+        (("--claim", "main_exp", "--p", "11", "--n", "12", "--r", "5", "--e", "3"), 5),
+        (("--claim", "thm2_case1", "--p", "17", "--N", "6", "--R", "3", "--n", "2", "--r", "1"), 5),
+        (("--claim", "kazandzidis_k1", "--p", "1009", "--n", "12", "--r", "6"), 3),
+    ], ids=("main_exp", "thm2_case1", "kazandzidis_k1"))
+    def test_out_writes_null(self, tmp_path, capsys, argv, v):
         js, cs = tmp_path / "o.json", tmp_path / "o.csv"
         assert run_cli("verify", *argv, "--out", str(js)) == 0
         assert run_cli("verify", *argv, "--out", str(cs), "--format", "csv") == 0
         obj = json.loads(js.read_text())
         assert obj["lhs"]["exact"] is None
         assert obj["rhs"]["exact"] is not None
-        assert obj["verdict"] == "pass" and obj["diff_valuation"] == 5
+        assert obj["verdict"] == "pass" and obj["diff_valuation"] == v
         header, row = (line.split(",") for line in cs.read_text().splitlines())
         fields = dict(zip(header, row))
         assert fields["lhs_exact"] == "" and fields["lhs_residue"] == obj["lhs"]["residue"]
@@ -597,11 +634,11 @@ class TestHugeExactValues:
         finally:
             sys.set_int_max_str_digits(old)
 
-    # At p = 11 the exact values have between 640 and 4300 digits, at
-    # p = 17 more than 4300.
-    @pytest.mark.parametrize("p, size", [("11", 2617), ("17", 221)])
+    # The exact lhs has 1991 digits at p = 401, between 640 and 4300, and
+    # 5015 at p = 1009.
+    @pytest.mark.parametrize("p, size", [("401", 2175), ("1009", 184)])
     def test_bytes_do_not_depend_on_the_digit_limit(self, tmp_path, p, size):
-        argv = ["verify", "--claim", "thm2_case1", "--p", p, "--N", "6", "--R", "3", "--n", "2", "--r", "1"]
+        argv = ["verify", "--claim", "kazandzidis_k1", "--p", p, "--n", "12", "--r", "6"]
         files = []
         for limit in (None, "0", "640"):
             env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -12,6 +13,7 @@ from wolsten.bernoulli import bernoulli_exact
 from wolsten.binomial import binom, binom_mod
 from wolsten.errors import (
     BudgetExceededError,
+    NonIntegralError,
     PreconditionError,
     WolstenError,
     ZeroDenominatorError,
@@ -232,8 +234,13 @@ class TestMainExp:
         assert check_main_exp(11, 3, 2, 2).ok
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            check_main_exp(7, 5, 1, 9)
+        # 5 * 7^9 is past the old n p^e <= 10^6 budget: the modular side
+        # runs through Wilson wraps.  binom_mod's prefix table is the bound.
+        assert check_main_exp(7, 5, 1, 9).ok
+        with pytest.raises(
+            BudgetExceededError, match=r"^main_exp p=89 \{'n': 6, 'r': 1, 'e': 3\}: argument 4229814"
+        ):
+            check_main_exp(89, 6, 1, 3)
 
 
 class TestThm2Case1:
@@ -620,6 +627,78 @@ class TestCongruenceEngine:
         monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or True)
         rep = congruence_report("x", 7, 5, Fraction(1716), Fraction(18523), {})
         assert rep.ok and calls == []
+
+
+class TestRatioSide:
+    """_binom_side's modular route, binom(a, b) / den from binom_mod, against exact sides."""
+
+    @staticmethod
+    def comb_block(a: int, b: int, size: int) -> dict:
+        """math.comb(a + n, b + r) for 0 <= n, r < size, by exact one-step recurrences."""
+        block, first = {}, math.comb(a, b)
+        for n in range(size):
+            if n:
+                first = first * (a + n) // (a + n - b)
+            value = block[a + n, b] = first
+            for r in range(1, size):
+                value = value * (a + n - b - r + 1) // (b + r)
+                block[a + n, b + r] = value
+        return block
+
+    def cases(self, combs: dict):
+        # (checker, args, a, b) for binom(a, b) / den: the criterion-4 thm2
+        # grids with the p = 5 negative controls, then main and K2.
+        for p in (5, 7, 11, 13):
+            p3 = p**3
+            for N in range(7):
+                for R in range(N + 1):
+                    combs.update(self.comb_block(N * p3, R * p3, p))
+                    for n, r in itertools.product(range(p), repeat=2):
+                        if r <= n or n >= 1:
+                            check = check_thm2_case1 if r <= n else check_thm2_case2
+                            yield check, (p, N, R, n, r), N * p3 + n, R * p3 + r
+        k2 = functools.partial(check_kazandzidis, form="K2")
+        for p, n in itertools.product((211, 401), range(9)):
+            for r in range(n + 1):
+                yield check_main, (p, n, r), n * p, r * p
+                yield k2, (p, n, r), n * p, r * p
+
+    def test_comb_block(self):
+        block = self.comb_block(2 * 7**3, 7**3, 7)
+        assert all(block[a, b] == math.comb(a, b) for a, b in itertools.islice(block, 0, None, 5))
+        assert self.comb_block(10, 10, 3)[10, 12] == 0
+
+    def test_modular_side_matches_exact_side(self, monkeypatch):
+        combs: dict = {}
+        monkeypatch.setattr(suite, "binom", lambda a, b: combs[a, b] if (a, b) in combs else binom(a, b))
+        modular = 0
+        for check, args, a, b in self.cases(combs):
+            monkeypatch.setattr(suite, "_EXACT_ARG_LIMIT", math.inf)
+            exact = check(*args)
+            monkeypatch.setattr(suite, "_EXACT_ARG_LIMIT", 0)
+            if not 2 <= b <= a - 2:  # binomials 0, 1 and a stay exact
+                assert check(*args) == exact, args
+                continue
+            if exact.diff_valuation == INFINITE:  # never shows mod any p^k
+                with pytest.raises(BudgetExceededError, match=r"exceeds p\^64"):
+                    check(*args)
+                continue
+            rep = check(*args)
+            assert (rep.lhs_residue, rep.rhs_residue, rep.diff_valuation, rep.verdict) == (
+                exact.lhs_residue, exact.rhs_residue, exact.diff_valuation, exact.verdict
+            ), args
+            assert rep.lhs_exact is None and rep.rhs_exact == exact.rhs_exact, args
+            modular += 1
+        assert modular == 7468
+
+    def test_large_arguments_take_the_modular_side(self):
+        assert check_main(401, 8, 3).lhs_exact is None
+        assert check_main(211, 8, 3).lhs_exact is not None  # 8 * 211 <= 2000
+
+    def test_a_side_that_is_not_p_integral_raises(self):
+        side = suite._binom_side(7, 4000, 100, 7**10)
+        with pytest.raises(NonIntegralError, match="divisible by 7"):
+            side(5)
 
 
 class TestReportSerialization:
