@@ -26,7 +26,6 @@ from .bernoulli import (
     read_checkpoint,
     records_to_jsonl,
 )
-from .binomial import _TABLE_CAP
 from .errors import WolstenError
 from .harmonic import Composition, mhs_exact, mhs_mod
 from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
@@ -107,8 +106,9 @@ def _write(path: Path | None, text: str, append: bool = False) -> None:
         raise WolstenError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-# A prime range is sieved in memory that grows with --pmax.
+# Sieves grow with a range: verify's ends below it and a scan window is narrower.
 _PMAX_LIMIT = 10**7
+_GRID_LIMIT = 10**6  # grid points per prime, enumerated before a check: a minute at 50 us each
 
 
 def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
@@ -157,6 +157,11 @@ def _param_ranges(claim: Claim, args: argparse.Namespace) -> dict[str, range]:
         else:
             grid = f" or --{flag}-max" if f"{name}_max" in _PARAM_DESTS else ""
             raise WolstenError(f"claim {claim.id!r} needs --{flag}{grid}")
+    points = math.prod(map(len, ranges.values()))
+    if points > _GRID_LIMIT:
+        flags = " ".join(f"--{d.replace('_', '-')} {getattr(args, d)}"
+                         for d in _PARAM_DESTS if getattr(args, d) is not None)
+        raise WolstenError(f"{flags}: the grid has {points} points per prime, past {_GRID_LIMIT}")
     return ranges
 
 
@@ -201,6 +206,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     p_min, p_max = args.pmin, args.pmax
     if p_max < max(p_min, 5):  # the full range, also when resuming
         raise WolstenError(f"--pmax {p_max} must be at least --pmin {p_min} and at least 5")
+    if p_max - p_min >= _PMAX_LIMIT:
+        raise WolstenError(f"--pmin {p_min} --pmax {p_max}: a window must be under {_PMAX_LIMIT}")
     out = _out_file(args)  # both files are checked before any prime is scanned
     if args.checkpoint:
         _check_writable(args.checkpoint)
@@ -242,29 +249,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _search_top(p: int) -> int:
-    # The largest binomial argument a search at p hands binom_mod.
-    return (p - 1) * p**3 + p - 1
+# The search's p^4/4 tuples take about 0.45 us each on one core: 12 s at
+# p = 101 and 29 s at p = 127 (a 2-core machine; 5.9 s at 101 on both).
+_SEARCH_P_MAX = 127
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.p > _SEARCH_P_MAX:
+        raise WolstenError(f"--p {args.p}: the search takes primes up to {_SEARCH_P_MAX}")
     out = _out_file(args)
-    if _search_top(args.p) > _TABLE_CAP:
-        # A prime q that fits has (q-1)^4 < _search_top(q) <= cap.
-        below = primes_in_range(7, math.isqrt(math.isqrt(_TABLE_CAP)) + 1)
-        fits = max(q for q in below if _search_top(q) <= _TABLE_CAP)
-        raise WolstenError(
-            f"--p {args.p}: the search's largest binomial argument, {_search_top(args.p)}, "
-            f"exceeds the {_TABLE_CAP}-entry prefix table of binom_mod; the largest prime "
-            f"it takes is {fits}"
-        )
     hits = find_exact_quadruples(args.p, workers=_workers(args))
     _write(out, join_lines(encode_report(h) for h in hits))
-    nontrivial = [h for h in hits if h.nontrivial]
-    print(
-        f"p={args.p}: {len(hits)} hits, {len(nontrivial)} nontrivial",
-        file=sys.stderr,
-    )
+    nontrivial = sum(h.nontrivial for h in hits)
+    print(f"p={args.p}: {len(hits)} hits, {nontrivial} nontrivial", file=sys.stderr)
     return 0
 
 

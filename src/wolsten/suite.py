@@ -7,7 +7,8 @@ size rule: exact while the arguments are small, else k -> its residue mod
 p^k, and the engine still finds the difference valuation exactly by
 raising k.  cor_ijk past the exact Bernoulli bound hands it residues mod p.
 Negative controls (the p = 5 failures) run through the same verifiers and
-report the failing residues rather than raising.
+report the failing residues rather than raising.  The quadruple search
+computes no binomial: it decides each tuple by Theorem 2's c mod p^2.
 
 A grid's points are enumerated once, by _grid_tasks, and run from the
 last to the first, the largest arguments first.  grid_reports returns
@@ -82,7 +83,6 @@ __all__ = [
 _EXACT_ARG_LIMIT = 2_000
 
 _h1_cache: list[Fraction] = [Fraction(0)]
-_w_cache: dict[int, int] = {}
 _cache_lock = threading.Lock()
 
 
@@ -94,12 +94,9 @@ def _h1(n: int) -> Fraction:
         return _h1_cache[n]
 
 
+@functools.cache
 def _wp(p: int) -> int:
-    w = _w_cache.get(p)
-    if w is None:
-        w = wolstenholme_quotient(p).value
-        _w_cache[p] = w
-    return w
+    return wolstenholme_quotient(p).value
 
 
 def _require_prime(p: int, minimum: int) -> None:
@@ -208,13 +205,14 @@ def _main_report(
     return congruence_report(claim_id, p, precision, lhs, rhs, params)
 
 
+def _thm2_c(hn, hr, hd, w, N: int, R: int):
+    """Theorem 2's c from H1(n), H1(r), H1(n-r) and w_p: Fractions, or residues mod p^2."""
+    return hn * N - hr * R + (w * N * R - hd) * (N - R)
+
+
 def thm2_c_value(p: int, N: int, R: int, n: int, r: int) -> Fraction:
     """The correction coefficient H1(n)N - H1(r)R + (w_p N R - H1(n-r))(N - R)."""
-    return (
-        _h1(n) * N
-        - _h1(r) * R
-        + (Fraction(_wp(p)) * N * R - _h1(n - r)) * (N - R)
-    )
+    return _thm2_c(_h1(n), _h1(r), _h1(n - r), _wp(p), N, R)
 
 
 def check_thm2_case1(
@@ -318,7 +316,7 @@ def check_ji_zhoucai(p: int, n_parts: int) -> CongruenceReport:
 
 @dataclass(frozen=True)
 class QuadrupleHit:
-    """A tuple with binom(Np^3+n, Rp^3+r) == binom(N,R) binom(n,r) mod p^5."""
+    """A tuple with binom(Np^3+n, Rp^3+r) == binom(N,R) binom(n,r) mod p^5: c == 0 mod p^2."""
 
     N: int
     R: int
@@ -330,14 +328,15 @@ class QuadrupleHit:
         return {"N": self.N, "R": self.R, "n": self.n, "r": self.r, "nontrivial": self.nontrivial}
 
 
-def _search_rows(args: tuple[int, int]) -> list[QuadrupleHit]:
-    p, N = args
+def _search_rows(args: tuple[int, int, list[int], int]) -> list[QuadrupleHit]:
+    p, N, h, w = args
+    q = p * p
     return [
         QuadrupleHit(N, R, n, r, nontrivial=(N != R or n != r))
         for R in range(1, N + 1)
         for n in range(1, p)
         for r in range(1, n + 1)
-        if check_bailey5(p, N, R, n, r, precision=5).ok
+        if _thm2_c(h[n], h[r], h[n - r], w, N, R) % q == 0
     ]
 
 
@@ -345,12 +344,15 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
     """Exhaustive search of 1 <= R <= N < p, 1 <= r <= n < p for mod-p^5 coincidences.
 
     Records, in lexicographic order, every tuple for which the bailey5
-    congruence holds mod p^5.  Tuples with R > N or r > n, whose right
-    side binom(N,R) binom(n,r) vanishes, are left out.
+    congruence holds mod p^5.  By Theorem 2 (check_thm2_case1) the binomial
+    is binom(N,R) binom(n,r) (1 + c p^3) mod p^5, and binom(N,R) binom(n,r)
+    is a p-unit here, so the hits are the tuples with c == 0 mod p^2.
+    Tuples with R > N or r > n, whose right side vanishes, are left out.
     """
     _require_prime(p, 7)
-    results = parallel_map(_search_rows, [(p, N) for N in range(1, p)], workers)
-    return [hit for rows in results for hit in rows]
+    h = [_reduce(_h1(n), p, 2) for n in range(p)]
+    rows = [(p, N, h, _wp(p)) for N in range(1, p)]
+    return [hit for hits in parallel_map(_search_rows, rows, workers) for hit in hits]
 
 
 # --------------------------------------------------------------------------

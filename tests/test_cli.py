@@ -126,6 +126,20 @@ class TestVerify:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: --pmin {pmin} --pmax {pmax}: ") and "--p" in err
 
+    def test_oversized_grid_exits_two_before_enumerating(self, monkeypatch, capsys):
+        # 100001 * 100001 * 7 * 7 points: enumerating them would exhaust memory.
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a grid past the bound")
+
+        monkeypatch.setattr(cli, "grid_lines", refuse)
+        start = time.perf_counter()
+        assert run_cli("verify", "--claim", "bailey5", "--p", "7",
+                       "--N-max", "100000", "--n-max", "6") == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --N-max 100000 --n-max 6: the grid has 490009800049 points")
+
     @pytest.mark.parametrize("n_failed, ellipsis", [(20, False), (21, True)])
     def test_fail_summary_ellipsis_only_when_lines_are_left_out(
         self, n_failed, ellipsis, monkeypatch, capsys
@@ -413,6 +427,18 @@ class TestScan:
         assert run_cli("scan", "--pmin", "3030000000", "--pmax", "3030000100") == 2
         assert "p_max=3030000100" in capsys.readouterr().err
 
+    def test_oversized_window_exits_two_before_sieving(self, monkeypatch, capsys):
+        def no_sieve(lo, hi):
+            raise AssertionError("sieved a window past the bound")
+
+        monkeypatch.setattr(bernoulli, "primes_in_range", no_sieve)
+        start = time.perf_counter()
+        assert run_cli("scan", "--pmin", "5", "--pmax", "3000000000") == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err == "error: --pmin 5 --pmax 3000000000: a window must be under 10000000\n"
+
 
 class TestSearch:
     def test_p7_output(self, tmp_path, capsys):
@@ -435,25 +461,28 @@ class TestSearch:
         assert "p=17: 304 hits" in capsys.readouterr().err
         assert run_cli("search", "--p", "7", "--method", "modular") == 0
 
-    def test_past_the_prefix_table_exits_two_at_once(self, capsys):
-        # (p-1) p^3 + p - 1 must fit binom_mod's 2^22-entry table: 43 is
-        # the largest prime that does.
+    def test_p47_past_the_old_table(self, capsys):
+        # (p-1) p^3 + p - 1 is past binom_mod's 2^22-entry prefix table, and
+        # the search computes no binomial.
+        assert run_cli("search", "--p", "47") == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2629 and err.startswith("p=47: 2629 hits")
+
+    def test_past_the_bound_exits_two_at_once(self, capsys):
+        # 131 is the first prime past cli._SEARCH_P_MAX.
         start = time.perf_counter()
-        assert run_cli("search", "--p", "47", "--workers", "2") == 2
+        assert run_cli("search", "--p", "131", "--workers", "2") == 2
         assert time.perf_counter() - start < 0.5
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: --p 47: ") and err.endswith("the largest prime it takes is 43\n")
+        assert out == "" and err == "error: --p 131: the search takes primes up to 127\n"
 
     @pytest.mark.parametrize("p", ["100000007", "1000000000000"])
     def test_huge_p_exits_two_at_once(self, p, capsys):
-        # The largest prime that fits is found without sieving up to --p.
         start = time.perf_counter()
         assert run_cli("search", "--p", p) == 2
         assert time.perf_counter() - start < 0.5
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"error: --p {p}: ") and err.endswith("the largest prime it takes is 43\n")
+        assert out == "" and err == f"error: --p {p}: the search takes primes up to 127\n"
 
     @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--budget", "1")])
     def test_removed_options_exit_two(self, flag, value, capsys):

@@ -403,6 +403,27 @@ class TestQuadrupleSearch:
         ]
         assert [(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(p)] == oracle
 
+    @staticmethod
+    def _bailey5_hits(p):
+        # The binomial route: every tuple through the bailey5 check mod p^5.
+        tuples = [(N, R, n, r) for N in range(1, p) for R in range(1, N + 1)
+                  for n in range(1, p) for r in range(1, n + 1)]
+        return [t for t in tuples if check_bailey5(p, *t, precision=5).ok]
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 17])
+    def test_matches_bailey5_oracle(self, p):
+        assert [(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(p)] == self._bailey5_hits(p)
+
+    def test_computes_no_binomial(self, monkeypatch):
+        oracle = self._bailey5_hits(13)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search computed a binomial")
+
+        monkeypatch.setattr(suite, "binom_mod", refuse)
+        monkeypatch.setattr(suite, "check_bailey5", refuse)
+        assert [(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(13)] == oracle
+
     def test_workers_do_not_change_output(self):
         assert find_exact_quadruples(7, workers=2) == find_exact_quadruples(7)
 
