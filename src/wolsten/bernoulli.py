@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError, WolstenError
 from .harmonic import Composition, mhs_mod
@@ -103,8 +103,7 @@ SCAN_BLOCK_SIZE = 64
 _SPLIT_WORK = 10**8
 
 
-@dataclass(frozen=True)
-class IrregularRecord:
+class IrregularRecord(NamedTuple):
     """Per-prime scan result; irregular means p | numerator(B_{p-3})."""
 
     p: int

@@ -133,13 +133,17 @@ def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
 # the lower one inherits the bound; the claim's domain filter trims it.
 _CAP_FALLBACKS = {"r": "n", "R": "N"}
 
+# Claims whose domain keeps n and r below p: a cap on them past the
+# largest prime less one adds no point, so it is clamped before counting.
+_N_BELOW_P = ("bailey5", "thm2_case1", "thm2_case2")
+
 
 # The parameter flags of verify as argparse dests, in help order (a flag
 # the claim does not take is reported in this order); NAME_max bounds NAME.
 _PARAM_DESTS = ("N", "R", "n", "r", "e", "s", "d", "n_parts", "N_max", "R_max", "n_max", "r_max")
 
 
-def _param_ranges(claim: Claim, args: argparse.Namespace) -> dict[str, range]:
+def _param_ranges(claim: Claim, args: argparse.Namespace, p_top: int) -> dict[str, range]:
     for dest in _PARAM_DESTS:
         if getattr(args, dest) is not None and dest.removesuffix("_max") not in claim.params:
             raise WolstenError(f"claim {claim.id!r} does not take --{dest.replace('_', '-')}")
@@ -150,6 +154,8 @@ def _param_ranges(claim: Claim, args: argparse.Namespace) -> dict[str, range]:
         cap = getattr(args, f"{name}_max", None)
         if cap is None and name in _CAP_FALLBACKS:
             cap = getattr(args, f"{_CAP_FALLBACKS[name]}_max", None)
+        if cap is not None and name in ("n", "r") and claim.id in _N_BELOW_P:
+            cap = min(cap, p_top - 1)
         if scalar is not None:
             ranges[name] = range(scalar, scalar + 1)
         elif cap is not None:
@@ -167,14 +173,15 @@ def _param_ranges(claim: Claim, args: argparse.Namespace) -> dict[str, range]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     claim = lookup_claim(args.claim)
-    ranges = _param_ranges(claim, args)
+    primes = _primes_for(args, claim)
+    ranges = _param_ranges(claim, args, primes[-1])
     workers = _workers(args)
     out = _out_file(args)
     per_prime = []
     exploratory = True  # verdicts at a claim's exploratory primes are not asserted
     # The largest prime runs first, as grid_lines runs its largest points
     # first: a grid whose arguments pass binom_mod's table fails at once.
-    for p in reversed(_primes_for(args, claim)):
+    for p in reversed(primes):
         lines = grid_lines(
             claim.id, p, ranges, precision=args.precision, workers=workers, fmt=args.format
         )

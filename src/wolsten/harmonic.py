@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonIntegralError, PreconditionError
 # reduce_mod and valuation are unused here; bench/probe.py patches them.
@@ -46,17 +46,18 @@ from .padic import (
 from .report import CongruenceReport, congruence_report
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
     """A nonempty sequence of positive integer exponents (s_1,...,s_d)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self) -> None:
-        if len(self.parts) == 0:
+    def __new__(cls, parts: tuple[int, ...]) -> Composition:
+        if len(parts) == 0:
             raise PreconditionError("a composition needs at least one part")
-        if any(s < 1 for s in self.parts):
-            raise PreconditionError(f"parts must be positive: {self.parts}")
+        if any(s < 1 for s in parts):
+            raise PreconditionError(f"parts must be positive: {parts}")
+        return super().__new__(cls, parts)
 
     @property
     def depth(self) -> int:

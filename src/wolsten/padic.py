@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonIntegralError, NotInvertibleError, PreconditionError
 
@@ -74,18 +74,18 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return list(itertools.compress(range(lo, hi + 1), window))
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("k", int)])):
     """A modulus p^k with p prime and k >= 1."""
 
-    p: int
-    k: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise PreconditionError(f"exponent must be >= 1, got {self.k}")
-        if not is_prime(self.p):
-            raise PreconditionError(f"{self.p} is not prime")
+    def __new__(cls, p: int, k: int) -> PrimePower:
+        if k < 1:
+            raise PreconditionError(f"exponent must be >= 1, got {k}")
+        if not is_prime(p):
+            raise PreconditionError(f"{p} is not prime")
+        return super().__new__(cls, p, k)
 
     @property
     def modulus(self) -> int:
@@ -108,19 +108,18 @@ class PrimePower:
         return cls(int(s), 1)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(NamedTuple("Residue", [("value", int), ("modulus", PrimePower)])):
     """An integer in [0, p^k) together with its modulus.
 
     A residue is a value, not a number type: it has no arithmetic.
     Compute on ``.value`` and build a new Residue from the result.
     """
 
-    value: int
-    modulus: PrimePower
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace reduces too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.modulus)
+    def __new__(cls, value: int, modulus: PrimePower) -> Residue:
+        return super().__new__(cls, value % modulus.modulus, modulus)
 
     def __str__(self) -> str:
         return str(self.value)

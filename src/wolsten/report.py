@@ -11,13 +11,13 @@ record or a search hit, and join_lines turns lines into a file.
 
 from __future__ import annotations
 
-import csv
+import functools
 import json
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, PreconditionError
 from .padic import Rational, Residue, _int_valuation, _reduce, valuation
@@ -26,8 +26,7 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Verdict of one congruence check.
 
     ``lhs_exact``/``rhs_exact`` are exact rationals when the check ran an
@@ -47,7 +46,7 @@ class CongruenceReport:
     verdict: str
     lhs_exact: Fraction | None = None
     rhs_exact: Fraction | None = None
-    params: dict = field(default_factory=dict)
+    params: dict = {}  # one shared default: no code changes a report's params
 
     CSV_COLUMNS = (  # a class attribute, not a field
         "claim_id", "p", "params", "precision", "lhs_exact", "lhs_residue",
@@ -171,8 +170,13 @@ def congruence_report(
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-# writerow returns what its file's write returns: here, the row's text.
-_CSV = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n")
+@functools.cache
+def _csv_writer():
+    # Imported on first CSV use, so a JSON run never loads csv.  writerow
+    # returns what its file's write returns: here, the row's text.
+    import csv
+
+    return csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n")
 
 
 def encode_report(r, fmt: str = "json") -> str:
@@ -187,7 +191,7 @@ def encode_report(r, fmt: str = "json") -> str:
         raise PreconditionError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
     if not hasattr(r, "csv_row"):
         raise PreconditionError(f"{type(r).__name__} records have no CSV form; use 'json'")
-    return _CSV.writerow(r.csv_row())
+    return _csv_writer().writerow(r.csv_row())
 
 
 def join_lines(
@@ -197,7 +201,7 @@ def join_lines(
 
     Only a new CSV file (new_file true) starts with the header row kind.CSV_COLUMNS.
     """
-    header = _CSV.writerow(kind.CSV_COLUMNS) if fmt == "csv" and new_file else ""
+    header = _csv_writer().writerow(kind.CSV_COLUMNS) if fmt == "csv" and new_file else ""
     return header + "".join(lines)
 
 

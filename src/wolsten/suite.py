@@ -23,9 +23,8 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bernoulli import (
     DEFAULT_EXACT_BOUND,
@@ -284,7 +283,7 @@ def check_cor_ijk(p: int) -> CongruenceReport:
         rep = congruence_report("cor_ijk", p, 1, composition_sum_exact(3, p), rhs, {})
         if rep.rhs_residue != rhs_res:
             # The routes disagree: report the quotient route's residue.
-            rep = replace(rep, rhs_residue=rhs_res, verdict=FAIL)
+            rep = rep._replace(rhs_residue=rhs_res, verdict=FAIL)
         return rep
     m = PrimePower(p, 1)
     return congruence_report("cor_ijk", p, 1, composition_sum(3, p, m), Residue(rhs_res, m), {})
@@ -314,8 +313,7 @@ def check_ji_zhoucai(p: int, n_parts: int) -> CongruenceReport:
 # Quadruple search
 
 
-@dataclass(frozen=True)
-class QuadrupleHit:
+class QuadrupleHit(NamedTuple):
     """A tuple with binom(Np^3+n, Rp^3+r) == binom(N,R) binom(n,r) mod p^5: c == 0 mod p^2."""
 
     N: int
@@ -359,8 +357,19 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
 # Claim registry and grid driver
 
 
-@dataclass(frozen=True)
-class Claim:
+class _ClaimFields(NamedTuple):
+    id: str
+    params: tuple[str, ...]
+    check: Callable[..., CongruenceReport | tuple[CongruenceReport, ...]]
+    domain: Callable[..., bool] | None = None
+    reports: tuple[str, ...] = ()
+    aliases: tuple[str, ...] = ()
+    takes_precision: bool = True
+    exploratory: frozenset[int] = frozenset()
+    min_p: int = 5
+
+
+class Claim(_ClaimFields):
     """One claim: its parameters, checker, grid domain and report ids.
 
     ``check(p=p, **params)``, plus ``precision`` when one is given (only
@@ -372,19 +381,12 @@ class Claim:
     at ``exploratory`` primes are reported but not asserted.
     """
 
-    id: str
-    params: tuple[str, ...]
-    check: Callable[..., CongruenceReport | tuple[CongruenceReport, ...]]
-    domain: Callable[..., bool] | None = None
-    reports: tuple[str, ...] = ()
-    aliases: tuple[str, ...] = ()
-    takes_precision: bool = True
-    exploratory: frozenset[int] = frozenset()
-    min_p: int = 5
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace fills reports too
 
-    def __post_init__(self) -> None:
-        if not self.reports:
-            object.__setattr__(self, "reports", (self.id,))
+    def __new__(cls, *args, **kwargs) -> Claim:
+        claim = super().__new__(cls, *args, **kwargs)
+        return claim if claim.reports else claim._replace(reports=(claim.id,))
 
 
 # h12 and genwols look their checkers up at call time, so a rebound

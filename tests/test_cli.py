@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -139,6 +140,22 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: --N-max 100000 --n-max 6: the grid has 490009800049 points")
+
+    @pytest.mark.parametrize("claim, primes, caps, clamped", [
+        ("thm2_case1", ("--p", "7"), ("--N-max", "2"), "6"),
+        ("bailey5", ("--pmin", "7", "--pmax", "12"), ("--N-max", "1"), "10"),
+        ("thm2_case2", ("--p", "7"), ("--N-max", "1"), "6"),
+    ])
+    def test_n_cap_past_p_is_clamped_before_counting(self, claim, primes, caps, clamped,
+                                                     tmp_path, capsys):
+        # n, r < p in these claims' domains: --n-max 2000 counts as the largest
+        # prime less one, past the bound untrimmed, and runs the same points.
+        for n_max in ("2000", clamped):
+            assert run_cli("verify", "--claim", claim, *primes, *caps, "--n-max", n_max,
+                           "--out", str(tmp_path / f"{n_max}.json")) == 0
+        assert (tmp_path / "2000.json").read_bytes() == (tmp_path / f"{clamped}.json").read_bytes()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[1]
 
     @pytest.mark.parametrize("n_failed, ellipsis", [(20, False), (21, True)])
     def test_fail_summary_ellipsis_only_when_lines_are_left_out(
@@ -746,6 +763,51 @@ class TestImports:
         seen, kernel_loaded = json.loads(proc.stdout.splitlines()[-1])
         assert seen == [[], [], []]
         assert kernel_loaded
+
+    def test_no_dataclasses_or_inspect_and_csv_on_demand(self, tmp_path):
+        # Each costs start-up in every process (dataclasses brings inspect,
+        # ast, dis and tokenize); csv loads with the first CSV line.
+        script = (
+            "import json, sys\n"
+            "import wolsten.cli as cli\n"
+            "loaded = lambda: [m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules]\n"
+            "seen = [loaded()]\n"
+            "cli.main(['verify', '--claim', 'main', '--p', '7', '--n-max', '6', '--workers', '1'])\n"
+            "seen.append(loaded())\n"
+            "cli.main(['mhs', '--s', '1', '--n', '4'])\n"
+            "seen.append(loaded())\n"
+            "cli.main(['verify', '--claim', 'main', '--p', '7', '--n-max', '6', '--format', 'csv',\n"
+            "          '--out', sys.argv[1]])\n"
+            "seen.append(loaded())\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "grid.csv")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], [], ["csv"]]
+
+
+class TestPinnedBytes:
+    # sha256 of each report file: a change to the records or the encoder
+    # must not move a byte.
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify --claim bailey5 --pmin 13 --pmax 13 --N-max 2 --n-max 12",
+         "4d6fd4e0f6558b9199b23a883d9e33dc09b25498286684e3042be12c3a377e3a"),
+        ("verify --claim bailey5 --pmin 13 --pmax 13 --N-max 2 --n-max 12 --format csv",
+         "f1d7ffdc420a3dbe70169459e9fb06620c476c0aa04033c57e7fcce4538eb0fa"),
+        ("verify --claim thm2_case1 --pmin 7 --pmax 11 --N-max 3 --n-max 10",
+         "d042b0275ae305f396e9e46bbb7a1f310e6574b8a085e4d11fb8dc29e00ba36a"),
+        ("scan --pmax 3000", "7040b73d97e0a515f4e69c39137b224a3d27e866534c792686e0faa97485a944"),
+        ("scan --pmax 3000 --format csv",
+         "ae181ffb516e32d7e98abfa9617d01580398f8e6b059056eeed4d4f9b5b23960"),
+        ("search --p 17", "e8d69a81ae82db8e713f4c588a9744635393800bdb1797951bbd2a902f69e16d"),
+    ])
+    def test_report_digest(self, argv, digest, tmp_path):
+        out = tmp_path / "report"
+        assert run_cli(*argv.split(), "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestReadme:

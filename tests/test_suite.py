@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -799,9 +798,7 @@ class TestReportSerialization:
     def test_unknown_claim_id_rejected(self, monkeypatch):
         # run_check accepts only the report ids of the claim's registry row
         rep = check_main(7, 2, 1)
-        row = dataclasses.replace(
-            lookup_claim("bailey4"), check=lambda p, n, r, precision=3: rep
-        )
+        row = lookup_claim("bailey4")._replace(check=lambda p, n, r, precision=3: rep)
         monkeypatch.setitem(suite._CLAIMS_BY_NAME, "bailey4", row)
         with pytest.raises(WolstenError, match="bailey4 produced a 'main_p5' report"):
             run_check("bailey4", 7, {"n": 2, "r": 1})
