@@ -22,7 +22,7 @@ from .errors import PreconditionError, WolstenError
 from .harmonic import Composition, mhs_mod
 # reduce_mod is unused here; bench/probe.py patches it.
 from .padic import PrimePower, Residue, is_prime, primes_in_range, reduce_mod  # noqa: F401
-from .parallel import parallel_map
+from .parallel import POOL_START_S, parallel_map
 from .report import encode_report, join_lines
 
 DEFAULT_EXACT_BOUND = 400
@@ -97,10 +97,10 @@ KERNEL_P_LIMIT = 3_030_000_000
 SCAN_BLOCK_SIZE = 64
 
 # A large prime costs the kernel about 4.5 ns per unit of p (9.5 ms at
-# p = 2124679, in 64-bit lanes), and a 2-worker pool about 0.06 s to
-# import, start and stop (both measured on a 2-core machine).  A block per worker repays the pool once a window's
-# primes sum to about 3e7; the threshold leaves a margin over that.
-_SPLIT_WORK = 10**8
+# p = 2124679, in 64-bit lanes, on a 2-core machine).  A block per worker
+# repays the pool's start once a window's primes sum to about 3.6e7; the
+# threshold, about 9e7, leaves a margin over that.
+_SPLIT_WORK = 2.5 * 2 * POOL_START_S / 4.5e-9
 
 
 class IrregularRecord(NamedTuple):
@@ -142,7 +142,7 @@ def irregular_scan(
     H(1;p-1) == 0 mod p^3.  p_max must be below KERNEL_P_LIMIT (3.03e9).
     Work is split into contiguous blocks of at most 64 primes across
     worker processes, and into at least one block per worker once the
-    primes sum to 10^8; output is sorted by p and independent of the
+    primes sum to about 9e7; output is sorted by p and independent of the
     worker count.  If checkpoint_path is given, the file is replaced
     atomically with the last block completed in order.  A resumed scan
     passes the first prime to scan as ``start``; its checkpoint still

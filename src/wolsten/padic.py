@@ -160,8 +160,11 @@ def _reduce(x: Rational, p: int, k: int) -> int:
     q = p**k
     if isinstance(x, int):
         return x % q
-    if x.denominator % p == 0:
-        raise NonIntegralError(f"denominator of {x} is divisible by {p}; cannot reduce mod {p}^{k}")
+    if x.denominator % p == 0:  # a long value is named by its size: str() may raise
+        bits = x.numerator.bit_length() + x.denominator.bit_length()
+        shown = x if bits < 4000 else f"a {bits}-bit value"
+        raise NonIntegralError(f"denominator of {shown} is divisible by {p}; "
+                               f"cannot reduce mod {p}^{k}")
     return x.numerator * pow(x.denominator, -1, q) % q
 
 

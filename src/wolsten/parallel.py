@@ -14,9 +14,10 @@ one worker never loads multiprocessing.
 Items and results cross between processes by pickle, and the parent
 unpickles every result in one thread.  A second worker therefore pays
 only when an item's work outweighs pickling it and its result: fn
-should return compact values.  The verify grid's workers return encoded
-report lines, not CongruenceReports, whose Fraction fields cost more to
-unpickle than a bailey5 check costs to run.
+should return compact values.  A verify grid's worker takes a slab of
+points and returns their encoded report lines as one text block, not
+CongruenceReports, whose Fraction fields cost more to unpickle than a
+bailey5 check costs to run.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ R = TypeVar("R")
 # Items per task aim at this many tasks per worker: enough to balance
 # uneven items, few enough that pickling each task stays cheap.
 _TASKS_PER_WORKER = 64
+
+# Importing, starting and stopping a 2-worker pool: 0.06 to 0.1 s on a
+# 2-core machine.  Split over 2 workers, work repays it past twice that.
+POOL_START_S = 0.08
 
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0

@@ -10,11 +10,10 @@ Negative controls (the p = 5 failures) run through the same verifiers and
 report the failing residues rather than raising.  The quadruple search
 computes no binomial: it decides each tuple by Theorem 2's c mod p^2.
 
-A grid's points are enumerated once, by _grid_tasks, and run from the
-last to the first, the largest arguments first.  grid_reports returns
-the reports in lexicographic order; grid_lines, the CLI's path, has each
-worker encode its reports and send back the lines, with a report only
-for a failed check.
+grid_reports returns a grid's reports in lexicographic order, one task
+per point.  grid_blocks, the CLI's path, cuts a prime range's points into
+a few slabs per worker; each worker runs its slab last point first and
+sends back one text block of report lines, and only the failed reports.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .padic import (
     reduce_mod,
     valuation,
 )
-from .parallel import parallel_map
+from .parallel import POOL_START_S, parallel_map
 from .report import FAIL, CongruenceReport, congruence_report, encode_report
 
 __all__ = [
@@ -71,7 +70,7 @@ __all__ = [
     "thm2_c_value",
     "run_check",
     "grid_reports",
-    "grid_lines",
+    "grid_blocks",
     "Claim",
     "CLAIMS",
     "lookup_claim",
@@ -346,10 +345,13 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
     is binom(N,R) binom(n,r) (1 + c p^3) mod p^5, and binom(N,R) binom(n,r)
     is a p-unit here, so the hits are the tuples with c == 0 mod p^2.
     Tuples with R > N or r > n, whose right side vanishes, are left out.
+    A search whose (p(p-1)/2)^2 tuples cannot repay a pool runs inline.
     """
     _require_prime(p, 7)
     h = [_reduce(_h1(n), p, 2) for n in range(p)]
     rows = [(p, N, h, _wp(p)) for N in range(1, p)]
+    if (p * (p - 1) // 2) ** 2 * 0.45e-6 < 2 * POOL_START_S:  # 0.45 us a tuple
+        workers = 1
     return [hit for hits in parallel_map(_search_rows, rows, workers) for hit in hits]
 
 
@@ -448,44 +450,12 @@ def run_check(
     return reports
 
 
-# One grid point's result on the CLI path: its encoded report line, with
-# the report itself when the check failed (the FAIL summary needs it).
-GridLine = tuple[str, CongruenceReport | None]
-
-
-def _grid_tasks(
-    claim_id: str, p: int, ranges: dict[str, range], precision: int | None, fmt: str | None
-) -> list[tuple]:
-    """The grid's points as tasks, in lexicographic order, domain applied."""
+def _grid_claim(claim_id: str, ranges: dict[str, range], precision: int | None) -> Claim:
     claim = _claim_for(claim_id, precision)
-    names = claim.params
-    for name in names:
+    for name in claim.params:
         if name not in ranges:
             raise PreconditionError(f"claim {claim.id} needs parameter {name!r}")
-    tasks = []
-    for combo in itertools.product(*(ranges[name] for name in names)):
-        params = dict(zip(names, combo))
-        if claim.domain is not None and not claim.domain(p, **params):
-            continue
-        tasks.append((claim.id, p, tuple(params.items()), precision, fmt))
-    return tasks
-
-
-def _run_grid(fn: Callable[[tuple], list], tasks: list[tuple], workers: int) -> list:
-    # The points run last to first, the largest arguments first, so that a
-    # point past binom_mod's prefix table fails before any other work.
-    groups = parallel_map(fn, tasks[::-1], workers)
-    return [item for group in reversed(groups) for item in group]
-
-
-def _grid_check(task: tuple) -> list[CongruenceReport]:
-    claim_id, p, items, precision, _ = task
-    return run_check(claim_id, p, dict(items), precision=precision)
-
-
-# bench/probe.py names this task's span suite.grid_task.
-def _grid_one(task: tuple) -> list[GridLine]:
-    return [(encode_report(r, task[-1]), None if r.ok else r) for r in _grid_check(task)]
+    return claim
 
 
 def grid_reports(
@@ -498,27 +468,67 @@ def grid_reports(
     """Run a claim over the cartesian product of parameter ranges.
 
     Tuples violating the claim's domain constraints are skipped, the rest
-    are enumerated in lexicographic order; output order is deterministic
-    for any worker count.
+    are enumerated in lexicographic order, one task per point; output
+    order is deterministic for any worker count.
     """
-    return _run_grid(_grid_check, _grid_tasks(claim_id, p, ranges, precision, None), workers)
+    claim = _grid_claim(claim_id, ranges, precision)
+    points = (dict(zip(claim.params, combo))
+              for combo in itertools.product(*(ranges[name] for name in claim.params)))
+    tasks = [params for params in points if claim.domain is None or claim.domain(p, **params)]
+    check = functools.partial(run_check, claim.id, p, precision=precision)
+    return [r for reps in parallel_map(check, tasks, workers) for r in reps]
 
 
-def grid_lines(
-    claim_id: str,
-    p: int,
-    ranges: dict[str, range],
-    precision: int | None = None,
-    workers: int = 1,
-    fmt: str = "json",
-) -> list[GridLine]:
-    """grid_reports' checks as report lines in fmt ("json" or "csv").
+# A slab: the claim, its parameter ranges, the primes it touches and its
+# index range into their points, put end to end from the first prime's.
+# bench/probe.py names this task's span suite.grid_task.
+def _grid_one(slab: tuple) -> tuple[str, dict[int, int], list[CongruenceReport]]:
+    claim_id, primes, axes, precision, fmt, start, stop = slab
+    claim = lookup_claim(claim_id)
+    size = math.prod(map(len, axes))
+    lines, counts, failed = [], {}, []
+    for k in reversed(range(len(primes))):  # the points run last to first
+        p, at = primes[k], k * size
+        backwards = itertools.product(*(axis[::-1] for axis in axes))
+        skip, end = max(at + size - stop, 0), size - max(start - at, 0)
+        for combo in itertools.islice(backwards, skip, end):
+            params = dict(zip(claim.params, combo))
+            if claim.domain is not None and not claim.domain(p, **params):
+                continue
+            reports = run_check(claim.id, p, params, precision)
+            counts[p] = counts.get(p, 0) + len(reports)
+            for rep in reversed(reports):
+                lines.append(encode_report(rep, fmt))
+                if not rep.ok:
+                    failed.append(rep)
+    return "".join(reversed(lines)), counts, failed[::-1]
 
-    Each worker checks and encodes its points and sends back, per check,
-    the line and, only if the check failed, its report: a line pickles
-    in a small fraction of the time a report with Fraction fields takes.
-    join_lines((line for line, _ in result), fmt) is the report file that
-    join_lines writes from grid_reports' reports, each put through
-    encode_report(report, fmt).
+
+# A few slabs per worker balance uneven ones.  A slab's checks, at 30 us
+# for the cheapest claims, outweigh the pool's start; a smaller stream is
+# one slab, which parallel_map runs inline.
+_SLABS_PER_WORKER = 4
+_SLAB_MIN = round(POOL_START_S / 30e-6)
+
+
+def grid_blocks(
+    claim_id: str, primes: list[int], ranges: dict[str, range],
+    precision: int | None = None, workers: int = 1, fmt: str = "json",
+) -> list[tuple[str, dict[int, int], list[CongruenceReport]]]:
+    """grid_reports' checks at each of primes as (text, lines per prime, failed reports) blocks.
+
+    The primes' points, end to end, are cut into contiguous slabs; a
+    worker checks a slab's points in the domain and encodes them in fmt
+    ("json" or "csv").  The texts in order are the lines of grid_reports'
+    reports at each prime.  Slabs and their points run last to first, so
+    the largest prime's last failing point raises, on any worker count.
     """
-    return _run_grid(_grid_one, _grid_tasks(claim_id, p, ranges, precision, fmt), workers)
+    claim = _grid_claim(claim_id, ranges, precision)
+    axes = tuple(ranges[name] for name in claim.params)
+    size = math.prod(map(len, axes))
+    total = size * len(primes)
+    step = max(-(-total // (_SLABS_PER_WORKER * workers)), _SLAB_MIN)  # points per slab
+    bounds = [(a, min(a + step, total)) for a in range(0, total, step)]
+    slabs = [(claim.id, primes[a // size : -(-b // size)], axes, precision, fmt,
+              a % size, a % size + b - a) for a, b in bounds]
+    return parallel_map(_grid_one, slabs[::-1], workers)[::-1]

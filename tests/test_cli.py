@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from wolsten import bernoulli, cli, report
+from wolsten import bernoulli, cli, report, suite
 from wolsten.cli import main
+from wolsten.parallel import parallel_map
 from wolsten.report import encode_report
 from wolsten.suite import check_main
 
@@ -132,7 +133,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated a grid past the bound")
 
-        monkeypatch.setattr(cli, "grid_lines", refuse)
+        monkeypatch.setattr(cli, "grid_blocks", refuse)
         start = time.perf_counter()
         assert run_cli("verify", "--claim", "bailey5", "--p", "7",
                        "--N-max", "100000", "--n-max", "6") == 2
@@ -163,13 +164,32 @@ class TestVerify:
     ):
         rep = check_main(5, 4, 1)
         assert not rep.ok
-        monkeypatch.setattr(cli, "grid_lines", lambda *a, **k: [(encode_report(rep), rep)] * n_failed)
+        block = (encode_report(rep), {5: 1}, [rep])
+        monkeypatch.setattr(cli, "grid_blocks", lambda *a, **k: [block] * n_failed)
         assert run_cli("verify", "--claim", "main", "--p", "5", "--n", "4", "--r", "1") == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"main_p5: 0/{n_failed} pass"
         assert len([line for line in lines if line.startswith("  FAIL p=5 ")]) == 20
         assert (lines[-1] == "  ...") == ellipsis
         assert len(lines) == 21 + ellipsis
+
+    def test_fail_summary_in_ascending_order_on_any_worker_count(self, monkeypatch, capsys):
+        # A slab minimum of 5 cuts the 169 points into 4 slabs per worker.
+        monkeypatch.setattr(suite, "_SLAB_MIN", 5)
+        outs = []
+        for workers in ("1", "2"):
+            assert run_cli("verify", "--claim", "main", "--p", "5", "--n-max", "12",
+                           "--workers", workers) == 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        failed = [r for r in suite.grid_reports("main_p5", 5, {"n": range(13), "r": range(13)})
+                  if not r.ok]
+        lines = outs[0].splitlines()
+        assert lines[0] == "main_p5: 54/91 pass" and lines[-1] == "  ..." and len(failed) == 37
+        shown = [ast.literal_eval(line.split("p=5 ", 1)[1].split(": lhs=")[0])
+                 for line in lines[1:21]]
+        assert shown == [r.params for r in failed[:20]]
+        assert shown == sorted(shown, key=lambda params: (params["n"], params["r"]))
 
     def test_exploratory_p5_case2_exits_zero(self, capsys):
         code = run_cli(
@@ -264,6 +284,23 @@ class TestVerifyUsageErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 5, 'r': 3}: ")
 
+    @pytest.mark.parametrize("slab_min", [None, 100])
+    def test_table_cap_names_the_same_point_on_any_worker_count(self, slab_min, monkeypatch,
+                                                                capsys):
+        # The stream's last point that passes the table is at p = 89; a slab
+        # minimum of 100 cuts the 4802 points into 8 slabs on 2 workers.
+        if slab_min is not None:
+            monkeypatch.setattr(suite, "_SLAB_MIN", slab_min)
+        errs = []
+        for workers in ("1", "2"):
+            assert run_cli("verify", "--claim", "bailey5", "--pmin", "83", "--pmax", "89",
+                           "--N-max", "6", "--n-max", "6", "--workers", workers) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 6, 'r': 4}: ")
+
     def test_out_of_domain_scalar(self, capsys):
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
                        "--N", "1", "--R", "0", "--n", "3", "--r", "3")
@@ -283,7 +320,7 @@ class TestUnwritableOutput:
             raise AssertionError("started the work before checking the output path")
 
         monkeypatch.setattr(bernoulli, "primes_in_range", refuse)
-        monkeypatch.setattr(cli, "grid_lines", refuse)
+        monkeypatch.setattr(cli, "grid_blocks", refuse)
         monkeypatch.setattr(cli, "find_exact_quadruples", refuse)
 
     @pytest.mark.parametrize("argv", [
@@ -501,6 +538,20 @@ class TestSearch:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: --p {p}: the search takes primes up to 127\n"
 
+    @pytest.mark.parametrize("p, workers", [(17, 1), (37, 2)])
+    def test_pool_only_where_it_pays(self, p, workers, monkeypatch):
+        # (p(p-1)/2)^2 tuples at 0.45 us: 8 ms at p = 17 and 0.2 s at
+        # p = 37, against twice the pool's start, 0.16 s.
+        seen = []
+
+        def record(fn, items, w):
+            seen.append(w)
+            return parallel_map(fn, items, w)
+
+        monkeypatch.setattr(suite, "parallel_map", record)
+        suite.find_exact_quadruples(p, workers=2)
+        assert seen == [workers]
+
     @pytest.mark.parametrize("flag, value", [("--method", "exact"), ("--budget", "1")])
     def test_removed_options_exit_two(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -640,6 +691,35 @@ class TestReport:
         assert run_cli("report", "--in", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read report {path}: 'utf-8' codec can't decode")
+
+
+    @pytest.mark.parametrize("argv, err", [
+        (("mhs", "--s", "1", "--n", "100000"),
+         "--n 100000: the exact sum takes n * 1 up to 40000; give --mod p^k with p > n"),
+        (("mhs", "--s", "2", "--n", "20001"),
+         "--n 20001: the exact sum takes n * 2 up to 40000; give --mod p^k with p > n"),
+        (("bernoulli", "--k", "20000"),
+         "--k 20000: B_k is computed exactly, also for --mod, up to k = 3000"),
+        (("bernoulli", "--k", "3001", "--mod", "7^1"),
+         "--k 3001: B_k is computed exactly, also for --mod, up to k = 3000"),
+    ])
+    def test_exact_value_past_its_bound_exits_two_at_once(self, argv, err, capsys):
+        # Unbounded, mhs --n 100000 took 5.8 s and bernoulli --k 20000 over 200 s.
+        start = time.perf_counter()
+        assert run_cli(*argv) == 2
+        assert time.perf_counter() - start < 0.5
+        out, stderr = capsys.readouterr()
+        assert out == "" and stderr.startswith(f"error: {err}") and stderr.count("\n") == 1
+        assert ("--mod p^k" in stderr) == (argv[0] == "mhs")
+
+    def test_long_value_with_p_in_its_denominator_exits_two(self, monkeypatch, capsys):
+        # B_3000's denominator is divisible by 3001 (von Staudt-Clausen) and
+        # its numerator has 6762 digits; a stand-in of that shape is fast.
+        monkeypatch.setattr(cli, "bernoulli_exact", lambda k, bound: Fraction(10**6000 + 1, 3001))
+        assert run_cli("bernoulli", "--k", "3000", "--mod", "3001^1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: denominator of a 19944-bit value is divisible by 3001; ")
 
 
 class TestHugeExactValues:

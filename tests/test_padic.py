@@ -133,8 +133,14 @@ class TestReduceMod:
         assert reduce_mod(Fraction(1, 20), PrimePower(7, 2)).value == 27
 
     def test_non_integral(self):
-        with pytest.raises(NonIntegralError):
+        with pytest.raises(NonIntegralError, match="denominator of 1/5 is divisible by 5"):
             reduce_mod(Fraction(1, 5), PrimePower(5, 2))
+
+    def test_non_integral_long_value_is_named_by_its_size(self):
+        # str() of a numerator past 4300 digits raises ValueError.
+        message = r"^denominator of a 16613-bit value is divisible by 7"
+        with pytest.raises(NonIntegralError, match=message):
+            reduce_mod(Fraction(10**5000 + 1, 7), PrimePower(7, 1))
 
     def test_ring_homomorphism_on_random_inputs(self):
         rng = random.Random(99)

@@ -464,10 +464,66 @@ class TestDispatchAndGrids:
         # p = 5 fails 37 of these 91 checks; only failed checks carry a report.
         ranges = {"n": range(0, 13), "r": range(0, 13)}
         reps = grid_reports("main_p5", 5, ranges)
-        lines = suite.grid_lines("main_p5", 5, ranges, workers=workers, fmt=fmt)
-        assert [line for line, _ in lines] == [encode_report(r, fmt) for r in reps]
-        assert [rep for _, rep in lines] == [None if r.ok else r for r in reps]
-        assert sum(rep is not None for _, rep in lines) == 37
+        blocks = suite.grid_blocks("main_p5", [5], ranges, workers=workers, fmt=fmt)
+        expected = "".join(encode_report(r, fmt) for r in reps)
+        assert "".join(text for text, _, _ in blocks) == expected
+        assert [r for _, _, failed in blocks for r in failed] == [r for r in reps if not r.ok]
+        assert sum(len(failed) for _, _, failed in blocks) == 37
+
+    # Each case against grid_reports at each prime: two reports per point
+    # (h12), a 5408-point modular grid, which is cut into slabs (bailey5),
+    # and an exploratory prime (thm2_case2 at p = 5).  A slab minimum of 7
+    # cuts every stream, mostly across primes.
+    _STREAMS = {
+        "main_p5": ([5], {"n": range(13), "r": range(13)}),
+        "h12": (primes_in_range(7, 101), {}),
+        "bailey5": ([13, 17], {"N": range(4), "R": range(4), "n": range(13), "r": range(13)}),
+        "thm2_case2": ([5, 7, 11], {"N": range(3), "R": range(3), "n": range(7), "r": range(7)}),
+    }
+
+    @staticmethod
+    @functools.cache
+    def _stream_oracle(claim_id):
+        primes, ranges = TestDispatchAndGrids._STREAMS[claim_id]
+        return [r for p in primes for r in grid_reports(claim_id, p, ranges)]
+
+    @pytest.mark.parametrize("slab_min", [None, 7])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("claim_id", list(_STREAMS))
+    def test_slab_stream_matches_grid_reports(self, claim_id, workers, fmt, slab_min, monkeypatch):
+        if slab_min is not None:
+            monkeypatch.setattr(suite, "_SLAB_MIN", slab_min)
+        primes, ranges = self._STREAMS[claim_id]
+        reps = self._stream_oracle(claim_id)
+        blocks = suite.grid_blocks(claim_id, primes, ranges, workers=workers, fmt=fmt)
+        assert (len(blocks) > 1) == (slab_min is not None or claim_id == "bailey5")
+        expected = "".join(encode_report(r, fmt) for r in reps)
+        assert "".join(text for text, _, _ in blocks) == expected
+        assert [r for _, _, failed in blocks for r in failed] == [r for r in reps if not r.ok]
+        counts = {}
+        for _, per_prime, _ in blocks:
+            for p, n in per_prime.items():
+                counts[p] = counts.get(p, 0) + n
+        assert counts == {p: n for p in primes if (n := sum(r.p == p for r in reps))}
+
+    def test_workload_grid_hands_the_pool_a_few_slabs(self, monkeypatch):
+        # The benchmark's bailey5 grid: 4 primes of 8281 points each.
+        calls = []
+
+        def record(fn, items, workers):
+            calls.append((fn.__name__, list(items), workers))
+            return []
+
+        monkeypatch.setattr(suite, "parallel_map", record)
+        ranges = {"N": range(7), "R": range(7), "n": range(13), "r": range(13)}
+        suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, workers=2)
+        [(name, slabs, workers)] = calls
+        assert name == "_grid_one" and workers == 2 and 2 <= len(slabs) <= 32
+        # The slabs, last first, cover the 33124 points once, end to end.
+        covered = [(primes[0], start, stop) for _, primes, _, _, _, start, stop in slabs]
+        assert covered[0][0] == 23 and covered[-1][:2] == (13, 0)
+        assert sum(stop - start for _, start, stop in covered) == 33124
 
     def test_missing_range(self):
         with pytest.raises(PreconditionError):
