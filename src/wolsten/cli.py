@@ -94,6 +94,21 @@ def _out_file(args: argparse.Namespace) -> Path | None:
     return path
 
 
+def _copy_out(path: Path, head: str, files: list[str]) -> None:
+    """Write head to path, then the bytes of files in order, a buffer at a time."""
+    import shutil
+
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head)
+            fh.flush()
+            for name in files:
+                with open(name, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+    except OSError as exc:
+        raise WolstenError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write(path: Path | None, *texts: str, append: bool = False) -> None:
     """Write texts to path (appending to it if asked), or to stdout when path is None."""
     if path is None:
@@ -113,6 +128,9 @@ _GRID_LIMIT = 10**6  # grid points per prime, counted from the ranges: a minute 
 # H(s;n) 0.7 to 2.4 s where n times the weight of s is 40000, B_3000 3.9 s.
 _MHS_NW_MAX = 40_000
 _BERNOULLI_K_MAX = 3_000
+# A residue H(s;n) mod p^k costs n * depth steps and about 130 bytes per n:
+# 1.6 s and 131 MiB for H(1;10^6), 3.2 s for H(3;10^6) mod p^3.
+_MHS_ND_MAX = 10**6
 
 
 def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
@@ -175,19 +193,42 @@ def _param_ranges(claim: Claim, args: argparse.Namespace, p_top: int) -> dict[st
     return ranges
 
 
+def _spill_dir(out: Path | None):
+    """A hidden temporary directory for a grid's slab files, beside out.
+
+    So the report's bytes go to the output's own filesystem; the system
+    temporary directory serves when there is no out, or when out's
+    directory admits no new entry.
+    """
+    import tempfile
+
+    if out is not None:
+        try:
+            return tempfile.TemporaryDirectory(prefix=".wolsten-", dir=out.parent)
+        except OSError:
+            pass
+    return tempfile.TemporaryDirectory(prefix="wolsten-")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     claim = lookup_claim(args.claim)
     primes = _primes_for(args, claim)
     ranges = _param_ranges(claim, args, primes[-1])
     workers = _workers(args)
     out = _out_file(args)
-    blocks = grid_blocks(claim.id, primes, ranges, args.precision, workers, args.format)
-    total = sum(n for _, counts, _ in blocks for n in counts.values())
-    if not total:
-        raise WolstenError("no parameter combinations matched the claim's domain")
+    with _spill_dir(out) as spill:  # removed on success and on every error
+        try:
+            blocks = grid_blocks(claim.id, primes, ranges, spill, args.precision, workers,
+                                 args.format)
+        except OSError as exc:
+            raise WolstenError(f"cannot write the report to {spill}: "
+                               f"{exc.strerror or exc}") from None
+        total = sum(n for _, counts, _ in blocks for n in counts.values())
+        if not total:
+            raise WolstenError("no parameter combinations matched the claim's domain")
+        if out:  # the CSV header, then the slab files in stream order
+            _copy_out(out, join_lines((), args.format), [path for path, _, _ in blocks])
 
-    if out:  # the CSV header, then the blocks as they came
-        _write(out, join_lines((), args.format), *(text for text, _, _ in blocks))
     failed = [r for _, _, reports in blocks for r in reports]
     print(f"{claim.id}: {total - len(failed)}/{total} pass")
     for r in failed[:20]:
@@ -268,28 +309,49 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _digit_limit_error(flag: str) -> WolstenError:
+    return WolstenError(
+        f"{flag}: the exact value has more digits than Python's int-to-string "
+        f"limit of {sys.get_int_max_str_digits()}; give --mod for a residue"
+    )
+
+
+def _refuse_past_digit_limit(log10_lower: float, flag: str) -> None:
+    # A numerator or denominator of at least 10^limit cannot be printed;
+    # log10_lower bounds the larger one's log10 from below (to within a
+    # float's rounding, which the margin covers).  0 means no limit, as
+    # on Python 3.10 before 3.10.7, which has no limit and no getter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and log10_lower - 1e-6 >= limit:
+        raise _digit_limit_error(flag)
+
+
 def _printable(value: Fraction, flag: str) -> str:
     # str() of an int raises ValueError past Python's int-to-string limit;
     # raising the limit would print megabytes.
     try:
         return format_rational(value)
     except ValueError:
-        raise WolstenError(
-            f"{flag}: the exact value has more digits than Python's int-to-string "
-            f"limit of {sys.get_int_max_str_digits()}; give --mod for a residue"
-        ) from None
+        raise _digit_limit_error(flag) from None
 
 
 def _cmd_mhs(args: argparse.Namespace) -> int:
     comp = Composition.parse(args.s)
     if args.mod:
         m = PrimePower.parse(args.mod)
+        if args.n * comp.depth > _MHS_ND_MAX:
+            raise WolstenError(f"--n {args.n}: the modular sum takes n * {comp.depth} up to "
+                               f"{_MHS_ND_MAX}")
         value = mhs_mod(comp, args.n, m)
         print(f"H({comp};{args.n}) = {value} (mod {m})")
     else:
         if args.n * comp.weight > _MHS_NW_MAX:
             raise WolstenError(f"--n {args.n}: the exact sum takes n * {comp.weight} up to "
                                f"{_MHS_NW_MAX}; give --mod p^k with p > n for a residue")
+        if comp.depth == 1:  # each prime in (n/2, n] divides the denominator s times
+            s = comp.parts[0]
+            primes = primes_in_range(args.n // 2 + 1, args.n)
+            _refuse_past_digit_limit(s * sum(map(math.log10, primes)), f"--n {args.n}")
         value = mhs_exact(comp, args.n)
         print(f"H({comp};{args.n}) = {_printable(value, f'--n {args.n}')}")
     return 0
@@ -299,12 +361,16 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.k > _BERNOULLI_K_MAX:  # --mod reduces the exact value too
         raise WolstenError(f"--k {args.k}: B_k is computed exactly, also for --mod, "
                            f"up to k = {_BERNOULLI_K_MAX}")
-    b = bernoulli_exact(args.k, bound=max(args.k, 400))
+    k = args.k
+    if not args.mod and k >= 2 and k % 2 == 0:  # |B_k| > 2 k! / (2 pi)^k
+        log10_bk = math.log10(2) + math.lgamma(k + 1) / math.log(10) - k * math.log10(2 * math.pi)
+        _refuse_past_digit_limit(log10_bk, f"--k {k}")
+    b = bernoulli_exact(k, bound=max(k, 400))
     if args.mod:
         m = PrimePower.parse(args.mod)
-        print(f"B_{args.k} = {reduce_mod(b, m)} (mod {m})")
+        print(f"B_{k} = {reduce_mod(b, m)} (mod {m})")
     else:
-        print(f"B_{args.k} = {_printable(b, f'--k {args.k}')}")
+        print(f"B_{k} = {_printable(b, f'--k {k}')}")
     return 0
 
 

@@ -15,9 +15,16 @@ Items and results cross between processes by pickle, and the parent
 unpickles every result in one thread.  A second worker therefore pays
 only when an item's work outweighs pickling it and its result: fn
 should return compact values.  A verify grid's worker takes a slab of
-points and returns their encoded report lines as one text block, not
-CongruenceReports, whose Fraction fields cost more to unpickle than a
-bailey5 check costs to run.
+points and writes their encoded report lines to the slab's own spill
+file; that file is its only side effect, and it returns only its line
+counts per prime and its failed reports, never CongruenceReports per
+point, whose Fraction fields cost more to unpickle than a bailey5 check
+costs to run, nor the text.
+
+When fn raises, parallel_map stops the pool before it re-raises: the
+items not yet started are cancelled and the running ones finish, so no
+task outlives the call (and none writes into a spill directory that its
+caller then removes).  The next call starts a fresh pool.
 """
 
 from __future__ import annotations
@@ -95,14 +102,13 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list
     workers = cap_workers(workers, _usable_cpus())
     if workers == 1 or len(seq) <= 1:
         return [fn(x) for x in seq]
-    from concurrent.futures.process import BrokenProcessPool
-
     pool = _shared_pool(workers)
     chunk = max(1, len(seq) // (_TASKS_PER_WORKER * workers))
     try:
         return list(pool.map(fn, seq, chunksize=chunk))
-    except BrokenProcessPool:
-        # A worker died; start a fresh pool at the next call.
+    except BaseException:
+        # fn raised or a worker died: wait for the running items, and
+        # start a fresh pool at the next call.
         with _pool_lock:
             _shutdown_pool()
         raise

@@ -13,7 +13,9 @@ computes no binomial: it decides each tuple by Theorem 2's c mod p^2.
 grid_reports returns a grid's reports in lexicographic order, one task
 per point.  grid_blocks, the CLI's path, cuts a prime range's points into
 a few slabs per worker; each worker runs its slab last point first and
-sends back one text block of report lines, and only the failed reports.
+writes its report lines, first to last, to its own spill file.  That file
+is a slab's only side effect: its result is its line counts per prime and
+its failed reports, so no report text crosses the pool.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import threading
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -479,11 +482,11 @@ def grid_reports(
     return [r for reps in parallel_map(check, tasks, workers) for r in reps]
 
 
-# A slab: the claim, its parameter ranges, the primes it touches and its
-# index range into their points, put end to end from the first prime's.
-# bench/probe.py names this task's span suite.grid_task.
-def _grid_one(slab: tuple) -> tuple[str, dict[int, int], list[CongruenceReport]]:
-    claim_id, primes, axes, precision, fmt, start, stop = slab
+# A slab: the claim, its parameter ranges, the primes it touches, its
+# index range into their points, put end to end from the first prime's,
+# and its spill file.  bench/probe.py names this task's span suite.grid_task.
+def _grid_one(slab: tuple) -> tuple[dict[int, int], list[CongruenceReport]]:
+    claim_id, primes, axes, precision, fmt, start, stop, path = slab
     claim = lookup_claim(claim_id)
     size = math.prod(map(len, axes))
     lines, counts, failed = [], {}, []
@@ -501,7 +504,9 @@ def _grid_one(slab: tuple) -> tuple[str, dict[int, int], list[CongruenceReport]]
                 lines.append(encode_report(rep, fmt))
                 if not rep.ok:
                     failed.append(rep)
-    return "".join(reversed(lines)), counts, failed[::-1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(reversed(lines))
+    return counts, failed[::-1]
 
 
 # A few slabs per worker balance uneven ones.  A slab's checks, at 30 us
@@ -512,16 +517,17 @@ _SLAB_MIN = round(POOL_START_S / 30e-6)
 
 
 def grid_blocks(
-    claim_id: str, primes: list[int], ranges: dict[str, range],
+    claim_id: str, primes: list[int], ranges: dict[str, range], spill: str | os.PathLike,
     precision: int | None = None, workers: int = 1, fmt: str = "json",
 ) -> list[tuple[str, dict[int, int], list[CongruenceReport]]]:
-    """grid_reports' checks at each of primes as (text, lines per prime, failed reports) blocks.
+    """grid_reports' checks at each of primes as (spill file, lines per prime, failed reports).
 
     The primes' points, end to end, are cut into contiguous slabs; a
-    worker checks a slab's points in the domain and encodes them in fmt
-    ("json" or "csv").  The texts in order are the lines of grid_reports'
-    reports at each prime.  Slabs and their points run last to first, so
-    the largest prime's last failing point raises, on any worker count.
+    worker checks a slab's points in the domain and writes their lines in
+    fmt ("json" or "csv") to the slab's file in the directory spill.  The
+    files in the order returned hold the lines of grid_reports' reports at
+    each prime.  Slabs and their points run last to first, so the largest
+    prime's last failing point raises, on any worker count.
     """
     claim = _grid_claim(claim_id, ranges, precision)
     axes = tuple(ranges[name] for name in claim.params)
@@ -530,5 +536,7 @@ def grid_blocks(
     step = max(-(-total // (_SLABS_PER_WORKER * workers)), _SLAB_MIN)  # points per slab
     bounds = [(a, min(a + step, total)) for a in range(0, total, step)]
     slabs = [(claim.id, primes[a // size : -(-b // size)], axes, precision, fmt,
-              a % size, a % size + b - a) for a, b in bounds]
-    return parallel_map(_grid_one, slabs[::-1], workers)[::-1]
+              a % size, a % size + b - a, os.path.join(spill, f"{i}.{fmt}"))
+             for i, (a, b) in enumerate(bounds)]
+    results = parallel_map(_grid_one, slabs[::-1], workers)[::-1]
+    return [(slab[-1], counts, failed) for slab, (counts, failed) in zip(slabs, results)]

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -164,8 +165,13 @@ class TestVerify:
     ):
         rep = check_main(5, 4, 1)
         assert not rep.ok
-        block = (encode_report(rep), {5: 1}, [rep])
-        monkeypatch.setattr(cli, "grid_blocks", lambda *a, **k: [block] * n_failed)
+
+        def blocks(claim_id, primes, ranges, spill, *args, **kwargs):
+            path = Path(spill) / "0.json"
+            path.write_text(encode_report(rep), encoding="utf-8")
+            return [(str(path), {5: 1}, [rep])] * n_failed
+
+        monkeypatch.setattr(cli, "grid_blocks", blocks)
         assert run_cli("verify", "--claim", "main", "--p", "5", "--n", "4", "--r", "1") == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"main_p5: 0/{n_failed} pass"
@@ -300,6 +306,71 @@ class TestVerifyUsageErrors:
             errs.append(err)
         assert errs[0] == errs[1]
         assert errs[0].startswith("error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 6, 'r': 4}: ")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_grid_leaves_no_out_and_no_spill(self, workers, tmp_path, capsys):
+        # The slab files go to a hidden directory beside --out, which an
+        # error removes, after every running slab has finished.
+        out = tmp_path / "grid.json"
+        assert run_cli("verify", "--claim", "bailey5", "--pmin", "83", "--pmax", "89",
+                       "--N-max", "6", "--n-max", "6", "--workers", workers,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 6, 'r': 4}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_leaves_only_its_out(self, workers, tmp_path, monkeypatch, capsys):
+        # Without --out the slab files go to the system temporary directory.
+        system_tmp = tmp_path / "tmp"
+        system_tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(system_tmp))
+        monkeypatch.setattr(suite, "_SLAB_MIN", 5)
+        argv = ("verify", "--claim", "main", "--p", "7", "--n-max", "12", "--workers", workers)
+        assert run_cli(*argv, "--out", str(tmp_path / "grid.json")) == 0
+        assert run_cli(*argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "tmp"]
+        assert list(system_tmp.iterdir()) == []
+        assert capsys.readouterr().out == "main_p5: 91/91 pass\n" * 2
+
+    def test_spill_beside_an_unwritable_directory_goes_to_the_system_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # An existing --out may be writable in a directory that takes no new
+        # entry; its spill directory then goes to the system one.
+        out = tmp_path / "grid.json"
+        out.write_text("old")
+        system_tmp = tmp_path / "tmp"
+        system_tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(system_tmp))
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def refuse_beside_out(suffix=None, prefix=None, dir=None):
+            if dir is not None and Path(dir) == tmp_path:
+                raise PermissionError(13, "Permission denied")
+            made.append(mkdtemp(suffix, prefix, dir))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse_beside_out)
+        assert run_cli("verify", "--claim", "main", "--p", "7", "--n-max", "3",
+                       "--out", str(out)) == 0
+        assert [Path(d).parent for d in made] == [system_tmp]
+        assert out.read_text().count("\n") == 10 and list(system_tmp.iterdir()) == []
+
+    def test_spill_write_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(suite, "open", full, raising=False)
+        out = tmp_path / "grid.json"
+        assert run_cli("verify", "--claim", "main", "--p", "7", "--n-max", "3",
+                       "--out", str(out)) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith("error: cannot write the report to ")
+        assert err.endswith(": No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_domain_scalar(self, capsys):
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
@@ -616,6 +687,99 @@ class TestAdHoc:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"error: {flag}: ")
         assert f"int-to-string limit of {sys.get_int_max_str_digits()}" in proc.stderr
+
+    @pytest.fixture
+    def digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(old)
+
+    @pytest.fixture
+    def nothing_computed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a value the digit limit refuses")
+
+        monkeypatch.setattr(cli, "mhs_exact", refuse)
+        monkeypatch.setattr(cli, "bernoulli_exact", refuse)
+
+    # |B_2500| > 2 * 2500! / (2 pi)^2500 has 5416 digits, and every prime in
+    # (20000, 40000] divides the denominator of H(1;40000); (5000, 10000]
+    # squared, that of H(2;10000).
+    @pytest.mark.parametrize("argv, flag", [
+        (("bernoulli", "--k", "2500"), "--k 2500"),
+        (("mhs", "--s", "1", "--n", "40000"), "--n 40000"),
+        (("mhs", "--s", "2", "--n", "10000"), "--n 10000"),
+    ])
+    def test_value_surely_past_the_digit_limit_is_refused_at_once(
+        self, argv, flag, digit_limit, nothing_computed, capsys
+    ):
+        digit_limit(4300)
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: {flag}: the exact value has more digits than Python's int-to-string "
+            "limit of 4300; give --mod for a residue\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("bernoulli", "--k", "2500"),
+        ("mhs", "--s", "1", "--n", "40000"),
+    ])
+    def test_no_early_refusal_without_a_limit(self, argv, digit_limit, monkeypatch, capsys):
+        digit_limit(0)
+        monkeypatch.setattr(cli, "mhs_exact", lambda *a: Fraction(1, 6))
+        monkeypatch.setattr(cli, "bernoulli_exact", lambda *a, **k: Fraction(1, 6))
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.endswith(" = 1/6\n")
+
+    def test_no_early_refusal_with_mod(self, digit_limit, monkeypatch, capsys):
+        digit_limit(4300)
+        monkeypatch.setattr(cli, "bernoulli_exact", lambda *a, **k: Fraction(1, 6))
+        assert run_cli("bernoulli", "--k", "2500", "--mod", "7^1") == 0
+        assert capsys.readouterr().out == "B_2500 = 6 (mod 7^1)\n"
+
+    # The digit limit set to the size of the value's larger part: it prints,
+    # and one digit less refuses it.
+    @pytest.mark.parametrize("argv, value", [
+        (("bernoulli", "--k", "1000"), lambda: bernoulli.bernoulli_exact(1000, bound=1000)),
+        (("mhs", "--s", "1", "--n", "1500"),
+         lambda: cli.mhs_exact(cli.Composition.of(1), 1500)),
+    ])
+    def test_value_just_under_the_digit_limit_prints(self, argv, value, digit_limit, capsys):
+        v = value()
+        digits = max(len(str(abs(v.numerator))), len(str(v.denominator)))
+        assert digits > 640
+        digit_limit(digits)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.endswith(f" = {v.numerator}/{v.denominator}\n")
+        digit_limit(digits - 1)
+        assert run_cli(*argv) == 2
+        assert f"limit of {digits - 1}; " in capsys.readouterr().err
+
+    def test_mhs_mod_past_its_bound_exits_two_at_once(self):
+        # n = 10^8 would allocate gigabytes of residues before the first step.
+        def one_gigabyte():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wolsten.cli", "mhs", "--s", "1", "--n", "100000000",
+             "--mod", "100000007^1"],
+            capture_output=True, text=True, preexec_fn=one_gigabyte, timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: --n 100000000: the modular sum takes n * 1 up to "
+                               "1000000\n")
+
+    def test_mhs_mod_bound_counts_depth(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "mhs_mod", lambda *a: "ok")
+        assert run_cli("mhs", "--s", "1,1", "--n", "500000", "--mod", "500009^1") == 0
+        assert run_cli("mhs", "--s", "1,1", "--n", "500001", "--mod", "500009^1") == 2
+        out, err = capsys.readouterr()
+        assert out == "H(1,1;500000) = ok (mod 500009^1)\n"
+        assert err == "error: --n 500001: the modular sum takes n * 2 up to 1000000\n"
 
 
 class TestReport:

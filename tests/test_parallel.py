@@ -2,6 +2,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,14 @@ from wolsten.parallel import cap_workers, parallel_map
 
 def _pid(_):
     return os.getpid()
+
+
+def _fail_first_or_mark(item):
+    i, directory = item
+    if i == 0:
+        raise ValueError("first item")
+    time.sleep(0.2)
+    (Path(directory) / str(i)).touch()
 
 
 class TestCapWorkers:
@@ -41,6 +51,18 @@ class TestParallelMap:
         assert os.getpid() not in first
         assert len(first) <= 2
         assert second <= first
+
+    @pytest.mark.skipif(parallel._usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_a_failing_call_leaves_no_task_running(self, tmp_path):
+        # The first item raises while the second is still running: by the
+        # time the error reaches the caller, every started item has ended.
+        with pytest.raises(ValueError, match="first item"):
+            parallel_map(_fail_first_or_mark, [(i, str(tmp_path)) for i in range(4)], 2)
+        done = sorted(p.name for p in tmp_path.iterdir())
+        assert "1" in done
+        time.sleep(0.5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == done
+        assert parallel_map(str, range(3), 2) == ["0", "1", "2"]  # a fresh pool
 
     @pytest.mark.skipif(
         parallel._usable_cpus() < 2 or "forkserver" not in multiprocessing.get_all_start_methods(),

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from wolsten.errors import (
 )
 from wolsten.harmonic import composition_sum_bruteforce
 from wolsten.padic import INFINITE, PrimePower, Residue, primes_in_range, valuation
+from wolsten.parallel import parallel_map
 from wolsten.report import (
     congruence_report,
     encode_report,
@@ -44,6 +46,11 @@ from wolsten.suite import (
     run_check,
     thm2_c_value,
 )
+
+
+def _spilled(blocks) -> str:
+    """The text of grid_blocks' spill files, in the order returned."""
+    return "".join(Path(path).read_text(encoding="utf-8") for path, _, _ in blocks)
 
 
 class TestWolstenholme:
@@ -460,13 +467,13 @@ class TestDispatchAndGrids:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_grid_lines_encode_grid_reports(self, fmt, workers):
+    def test_grid_lines_encode_grid_reports(self, fmt, workers, tmp_path):
         # p = 5 fails 37 of these 91 checks; only failed checks carry a report.
         ranges = {"n": range(0, 13), "r": range(0, 13)}
         reps = grid_reports("main_p5", 5, ranges)
-        blocks = suite.grid_blocks("main_p5", [5], ranges, workers=workers, fmt=fmt)
+        blocks = suite.grid_blocks("main_p5", [5], ranges, tmp_path, workers=workers, fmt=fmt)
         expected = "".join(encode_report(r, fmt) for r in reps)
-        assert "".join(text for text, _, _ in blocks) == expected
+        assert _spilled(blocks) == expected
         assert [r for _, _, failed in blocks for r in failed] == [r for r in reps if not r.ok]
         assert sum(len(failed) for _, _, failed in blocks) == 37
 
@@ -491,15 +498,16 @@ class TestDispatchAndGrids:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("claim_id", list(_STREAMS))
-    def test_slab_stream_matches_grid_reports(self, claim_id, workers, fmt, slab_min, monkeypatch):
+    def test_slab_stream_matches_grid_reports(self, claim_id, workers, fmt, slab_min, monkeypatch,
+                                              tmp_path):
         if slab_min is not None:
             monkeypatch.setattr(suite, "_SLAB_MIN", slab_min)
         primes, ranges = self._STREAMS[claim_id]
         reps = self._stream_oracle(claim_id)
-        blocks = suite.grid_blocks(claim_id, primes, ranges, workers=workers, fmt=fmt)
+        blocks = suite.grid_blocks(claim_id, primes, ranges, tmp_path, workers=workers, fmt=fmt)
         assert (len(blocks) > 1) == (slab_min is not None or claim_id == "bailey5")
         expected = "".join(encode_report(r, fmt) for r in reps)
-        assert "".join(text for text, _, _ in blocks) == expected
+        assert _spilled(blocks) == expected
         assert [r for _, _, failed in blocks for r in failed] == [r for r in reps if not r.ok]
         counts = {}
         for _, per_prime, _ in blocks:
@@ -507,7 +515,7 @@ class TestDispatchAndGrids:
                 counts[p] = counts.get(p, 0) + n
         assert counts == {p: n for p in primes if (n := sum(r.p == p for r in reps))}
 
-    def test_workload_grid_hands_the_pool_a_few_slabs(self, monkeypatch):
+    def test_workload_grid_hands_the_pool_a_few_slabs(self, monkeypatch, tmp_path):
         # The benchmark's bailey5 grid: 4 primes of 8281 points each.
         calls = []
 
@@ -517,13 +525,32 @@ class TestDispatchAndGrids:
 
         monkeypatch.setattr(suite, "parallel_map", record)
         ranges = {"N": range(7), "R": range(7), "n": range(13), "r": range(13)}
-        suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, workers=2)
+        suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, tmp_path, workers=2)
         [(name, slabs, workers)] = calls
         assert name == "_grid_one" and workers == 2 and 2 <= len(slabs) <= 32
-        # The slabs, last first, cover the 33124 points once, end to end.
-        covered = [(primes[0], start, stop) for _, primes, _, _, _, start, stop in slabs]
+        # The slabs, last first, cover the 33124 points once, end to end,
+        # each with its own spill file in the directory given.
+        covered = [(primes[0], start, stop) for _, primes, _, _, _, start, stop, _ in slabs]
         assert covered[0][0] == 23 and covered[-1][:2] == (13, 0)
         assert sum(stop - start for _, start, stop in covered) == 33124
+        paths = [Path(path) for *_, path in slabs]
+        assert len(set(paths)) == len(slabs) and {p.parent for p in paths} == {tmp_path}
+
+    def test_workload_grid_results_are_small(self, monkeypatch, tmp_path):
+        # The same grid's 6.3 MB of report lines stay in the spill files:
+        # the pool carries back only line counts and failed reports.
+        sizes = []
+
+        def measured(fn, items, workers):
+            results = parallel_map(fn, items, workers)
+            sizes.extend(len(pickle.dumps(r)) for r in results)
+            return results
+
+        monkeypatch.setattr(suite, "parallel_map", measured)
+        ranges = {"N": range(7), "R": range(7), "n": range(13), "r": range(13)}
+        blocks = suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, tmp_path, workers=2)
+        assert len(sizes) == len(blocks) > 1 and sum(sizes) < 64 * 1024
+        assert sum(Path(path).stat().st_size for path, _, _ in blocks) == 6300605
 
     def test_missing_range(self):
         with pytest.raises(PreconditionError):
