@@ -74,7 +74,7 @@ def ratio(num: int | Fraction, den: int | Fraction) -> Fraction:
     """The exact ratio num / den; a vanishing den raises ZeroDenominatorError."""
     if den == 0:
         raise ZeroDenominatorError(f"ratio {num}/{den}: the denominator is zero")
-    return Fraction(num) / den
+    return Fraction(num, den)
 
 
 # --------------------------------------------------------------------------
@@ -111,11 +111,8 @@ def _unit_prefix(p: int, q: int, upto: int) -> array | list:
         return g
 
 
-def _p_free_factorial(n: int, p: int, q: int, wilson_negative: bool) -> int:
-    upto = min(n, q - 1)
-    if upto > _TABLE_CAP:
-        raise BudgetExceededError(f"argument {n} too large for the prefix table (cap {_TABLE_CAP})")
-    g = _unit_prefix(p, q, upto)
+def _p_free_factorial(n: int, g: array | list, p: int, q: int, wilson_negative: bool) -> int:
+    # g is the prefix table of the units mod q, through min(n, q - 1).
     res = 1
     wraps = 0
     m = n
@@ -148,8 +145,12 @@ def binom_mod(a: int, b: int, m: PrimePower) -> int:
     if e >= m.k:
         return 0
     wilson_negative = not (p == 2 and m.k >= 3)
-    fa = _p_free_factorial(a, p, q, wilson_negative)
-    fb = _p_free_factorial(b, p, q, wilson_negative)
-    fc = _p_free_factorial(c, p, q, wilson_negative)
+    upto = min(a, q - 1)  # one table serves a, b and c <= a
+    if upto > _TABLE_CAP:
+        raise BudgetExceededError(f"argument {a} too large for the prefix table (cap {_TABLE_CAP})")
+    g = _unit_prefix(p, q, upto)
+    fa = _p_free_factorial(a, g, p, q, wilson_negative)
+    fb = _p_free_factorial(b, g, p, q, wilson_negative)
+    fc = _p_free_factorial(c, g, p, q, wilson_negative)
     unit = fa * pow(fb * fc % q, -1, q) % q
     return p**e * unit % q

@@ -63,25 +63,29 @@ class CongruenceReport(NamedTuple):
         An exact value is null also when its numerator or denominator has
         more than EXACT_DIGITS (4300) decimal digits.
         """
-        dv = self.diff_valuation
+        lhs, rhs, dv = self._texts()
         return {
             "claim_id": self.claim_id,
             "p": self.p,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "precision": self.precision,
-            "lhs": {"exact": _exact_text(self.lhs_exact), "residue": str(self.lhs_residue)},
-            "rhs": {"exact": _exact_text(self.rhs_exact), "residue": str(self.rhs_residue)},
-            "diff_valuation": "inf" if dv == math.inf else int(dv),
+            "lhs": {"exact": lhs, "residue": str(self.lhs_residue)},
+            "rhs": {"exact": rhs, "residue": str(self.rhs_residue)},
+            "diff_valuation": dv,
             "verdict": self.verdict,
         }
 
+    def _texts(self) -> tuple[str | None, str | None, int | str]:
+        # The exact texts and the valuation, as every encoding writes them.
+        dv = self.diff_valuation
+        return _exact_text(self.lhs_exact), _exact_text(self.rhs_exact), "inf" if dv == math.inf else int(dv)
+
     def csv_row(self) -> list:
         """The cells under CSV_COLUMNS; a missing exact value is ""."""
-        o = self.to_obj()
-        lhs, rhs = o["lhs"], o["rhs"]
-        params = ";".join(f"{k}={v}" for k, v in o["params"].items())
-        return [o["claim_id"], o["p"], params, o["precision"], lhs["exact"] or "", lhs["residue"],
-                rhs["exact"] or "", rhs["residue"], o["diff_valuation"], o["verdict"]]
+        lhs, rhs, dv = self._texts()
+        params = ";".join(f"{k}={self.params[k]}" for k in sorted(self.params))
+        return [self.claim_id, self.p, params, self.precision, lhs or "", self.lhs_residue,
+                rhs or "", self.rhs_residue, dv, self.verdict]
 
 
 # An exact value is written only while its numerator and denominator have
@@ -93,7 +97,7 @@ _EXACT_BOUND = 10**EXACT_DIGITS
 
 
 def _exact_text(x: Fraction | None) -> str | None:
-    if x is None or x.denominator >= _EXACT_BOUND or not -_EXACT_BOUND < x.numerator < _EXACT_BOUND:
+    if x is None or x.denominator >= _EXACT_BOUND or abs(x.numerator) >= _EXACT_BOUND:
         return None
     try:
         return f"{x.numerator}/{x.denominator}"
@@ -103,6 +107,28 @@ def _exact_text(x: Fraction | None) -> str | None:
         from decimal import Decimal
 
         return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
+def _json_line(r: CongruenceReport) -> str:
+    # _JSON.encode(r.to_obj()) + "\n", written directly while every param
+    # is a str key with an int or str value (a bool is true, not True).
+    params = []
+    for k in sorted(r.params):
+        v = r.params[k]
+        if type(k) is not str or type(v) not in (int, str):
+            return _JSON.encode(r.to_obj()) + "\n"
+        params.append(f"{_str(k)}:{v}" if type(v) is int else f"{_str(k)}:{_str(v)}")
+    lhs, rhs, dv = r._texts()
+    lhs = "null" if lhs is None else f'"{lhs}"'
+    rhs = "null" if rhs is None else f'"{rhs}"'
+    return (f'{{"claim_id":{_str(r.claim_id)},"p":{r.p},"params":{{{",".join(params)}}},'
+            f'"precision":{r.precision},"lhs":{{"exact":{lhs},"residue":"{r.lhs_residue}"}},'
+            f'"rhs":{{"exact":{rhs},"residue":"{r.rhs_residue}"}},'
+            f'"diff_valuation":{_str(dv) if dv == "inf" else dv},"verdict":{_str(r.verdict)}}}\n')
+
+
+def _fraction(x: Rational) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)  # a Fraction is immutable: no copy
 
 
 def congruence_report(
@@ -154,11 +180,11 @@ def congruence_report(
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{claim_id} p={p} {params}: {exc}") from None
         v = _int_valuation(d, p)
-        rhs_res, rhs_exact = _reduce(rhs, p, precision), Fraction(rhs)
+        rhs_res, rhs_exact = _reduce(rhs, p, precision), _fraction(rhs)
     else:
         v = valuation(lhs - rhs, p)
         lhs_res, rhs_res = _reduce(lhs, p, precision), _reduce(rhs, p, precision)
-        lhs_exact, rhs_exact = Fraction(lhs), Fraction(rhs)
+        lhs_exact, rhs_exact = _fraction(lhs), _fraction(rhs)
     return CongruenceReport(
         claim_id=claim_id, p=p, precision=precision, lhs_residue=lhs_res, rhs_residue=rhs_res,
         diff_valuation=v, verdict=PASS if v >= precision and holds else FAIL,
@@ -168,6 +194,7 @@ def congruence_report(
 
 # json.dumps builds a new encoder on every call that passes separators.
 _JSON = json.JSONEncoder(separators=(",", ":"))
+_str = json.encoder.encode_basestring_ascii  # _JSON's str encoder
 
 
 @functools.cache
@@ -186,7 +213,7 @@ def encode_report(r, fmt: str = "json") -> str:
     the last has no CSV form.
     """
     if fmt == "json":
-        return _JSON.encode(r.to_obj()) + "\n"
+        return _json_line(r) if isinstance(r, CongruenceReport) else _JSON.encode(r.to_obj()) + "\n"
     if fmt != "csv":
         raise PreconditionError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
     if not hasattr(r, "csv_row"):

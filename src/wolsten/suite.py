@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -83,16 +82,12 @@ __all__ = [
 # binomial (roughly 600 decimal digits); beyond it the modular route runs.
 _EXACT_ARG_LIMIT = 2_000
 
-_h1_cache: list[Fraction] = [Fraction(0)]
-_cache_lock = threading.Lock()
 
-
-def _h1(n: int) -> Fraction:
-    """Harmonic number H(1;n), cached progressively."""
-    with _cache_lock:
-        while len(_h1_cache) <= n:
-            _h1_cache.append(_h1_cache[-1] + Fraction(1, len(_h1_cache)))
-        return _h1_cache[n]
+@functools.lru_cache(maxsize=16)
+def _h1_over_lcm(m: int) -> tuple[int, list[int]]:
+    """L = lcm(1, ..., m) and the integers L H(1;n) for 0 <= n <= m."""
+    L = math.lcm(*range(1, m + 1))
+    return L, list(itertools.accumulate((L // i for i in range(1, m + 1)), initial=0))
 
 
 @functools.cache
@@ -100,9 +95,13 @@ def _wp(p: int) -> int:
     return wolstenholme_quotient(p).value
 
 
+@functools.lru_cache(maxsize=256)  # a grid tests its prime once, not once a check
 def _require_prime(p: int, minimum: int) -> None:
     if not is_prime(p) or p < minimum:
         raise PreconditionError(f"p={p} must be a prime >= {minimum}")
+
+
+_prime_power = functools.lru_cache(maxsize=256)(PrimePower)  # the same for each modulus
 
 
 def _binom_side(p: int, a: int, b: int, den: int = 1) -> Fraction | Callable[[int], int]:
@@ -110,13 +109,22 @@ def _binom_side(p: int, a: int, b: int, den: int = 1) -> Fraction | Callable[[in
 
     A binomial 0, 1 or a stays exact, so an exact equality keeps its
     infinite valuation.  The modular side must be p-integral: with v =
-    v_p(den), binom(a, b) mod p^(k+v) over den is the side mod p^k, and a
-    p left in its denominator raises NonIntegralError.
+    v_p(den), binom(a, b) mod p^(k+v), divided by p^v and by den's unit
+    part, is the side mod p^k; when p^v does not divide it, a p is left in
+    the denominator and NonIntegralError is raised.
     """
     if b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
         return ratio(binom(a, b), den)
     v = valuation(den, p)
-    return lambda k: _reduce(Fraction(binom_mod(a, b, PrimePower(p, k + v)), den), p, k)
+    pv, unit = p**v, den // p**v
+
+    def side(k: int) -> int:
+        d = binom_mod(a, b, _prime_power(p, k + v))
+        if d % pv:  # p^v does not divide binom(a, b)
+            return _reduce(Fraction(d, den), p, k)  # raises NonIntegralError
+        return d // pv * pow(unit, -1, p**k) % p**k
+
+    return side
 
 
 def check_wolstenholme(p: int, precision: int = 2) -> CongruenceReport:
@@ -212,8 +220,9 @@ def _thm2_c(hn, hr, hd, w, N: int, R: int):
 
 
 def thm2_c_value(p: int, N: int, R: int, n: int, r: int) -> Fraction:
-    """The correction coefficient H1(n)N - H1(r)R + (w_p N R - H1(n-r))(N - R)."""
-    return _thm2_c(_h1(n), _h1(r), _h1(n - r), _wp(p), N, R)
+    """The correction coefficient H1(n)N - H1(r)R + (w_p N R - H1(n-r))(N - R), for 0 <= r <= n."""
+    L, h = _h1_over_lcm(max(n, p - 1))  # c L is an integer
+    return Fraction(_thm2_c(h[n], h[r], h[n - r], _wp(p) * L, N, R), L)
 
 
 def check_thm2_case1(
@@ -232,7 +241,7 @@ def check_thm2_case1(
     p3 = p**3
     lhs = _binom_side(p, N * p3 + n, R * p3 + r, binom(N, R) * binom(n, r))
     c = thm2_c_value(p, N, R, n, r)
-    rhs = 1 + c * p3
+    rhs = Fraction(c.denominator + c.numerator * p3, c.denominator)
     params = {"N": N, "R": R, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"}
     return congruence_report("thm2_case1", p, precision, lhs, rhs, params)
 
@@ -253,7 +262,7 @@ def check_thm2_case2(
     p3 = p**3
     lhs = _binom_side(p, N * p3 + n, R * p3 + r, binom(N, R))
     sign = -1 if (r - n + 1) % 2 else 1
-    rhs = sign * Fraction(N - R, r) * Fraction(1, binom(r - 1, n)) * p3
+    rhs = Fraction(sign * (N - R) * p3, r * binom(r - 1, n))
     return congruence_report("thm2_case2", p, precision, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
 
 
@@ -351,7 +360,8 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
     A search whose (p(p-1)/2)^2 tuples cannot repay a pool runs inline.
     """
     _require_prime(p, 7)
-    h = [_reduce(_h1(n), p, 2) for n in range(p)]
+    L, h = _h1_over_lcm(p - 1)
+    h = [_reduce(Fraction(x, L), p, 2) for x in h]
     rows = [(p, N, h, _wp(p)) for N in range(1, p)]
     if (p * (p - 1) // 2) ** 2 * 0.45e-6 < 2 * POOL_START_S:  # 0.45 us a tuple
         workers = 1

@@ -1043,6 +1043,17 @@ class TestPinnedBytes:
          "f1d7ffdc420a3dbe70169459e9fb06620c476c0aa04033c57e7fcce4538eb0fa"),
         ("verify --claim thm2_case1 --pmin 7 --pmax 11 --N-max 3 --n-max 10",
          "d042b0275ae305f396e9e46bbb7a1f310e6574b8a085e4d11fb8dc29e00ba36a"),
+        ("verify --claim thm2_case2 --pmin 5 --pmax 11 --N-max 2 --n-max 6",
+         "0edaa46f00bf5d519ac776b75cfbfd3fa6d802f2bad6d7e3d94f8bd5d1b23ce6"),
+        ("verify --claim thm2_case2 --pmin 5 --pmax 11 --N-max 2 --n-max 6 --format csv",
+         "36947e64313da8e9f3908e9d0cfa2275f48c4519f0aa592d36f76d0228b7d038"),
+        ("verify --claim kazandzidis_k2 --pmin 3 --pmax 11 --n-max 8",
+         "2338fa8c243908674660a37a239ef24d1fbd2143b4d3c33bc5f922eae2917fe2"),
+        ("verify --claim main_exp --pmin 7 --pmax 11 --n-max 4 --e 2",
+         "de3c8de94cb59ec749887268edd647db9d23c02cb84f4aad5b992c7c4af00900"),
+        # The modular side with 7 | binom(N, R) at N = 7, 8.
+        ("verify --claim thm2_case1 --pmin 7 --pmax 7 --N-max 8 --n-max 3",
+         "5792da58a8090c52ebfd40758fd3d608a6ebd070ae622166536e858e76d7361b"),
         ("scan --pmax 3000", "7040b73d97e0a515f4e69c39137b224a3d27e866534c792686e0faa97485a944"),
         ("scan --pmax 3000 --format csv",
          "ae181ffb516e32d7e98abfa9617d01580398f8e6b059056eeed4d4f9b5b23960"),

@@ -1,6 +1,8 @@
 """The record types: immutable NamedTuples whose constructors check their fields."""
 
+import math
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +12,16 @@ from wolsten.errors import PreconditionError
 from wolsten.harmonic import Composition
 from wolsten.padic import PrimePower, Residue
 from wolsten.parallel import parallel_map
-from wolsten.report import CongruenceReport
-from wolsten.suite import QuadrupleHit, check_bailey5, find_exact_quadruples, lookup_claim
+from wolsten.report import _JSON, CongruenceReport, _csv_writer, congruence_report, encode_report
+from wolsten.suite import (
+    CLAIMS,
+    QuadrupleHit,
+    check_bailey5,
+    check_kazandzidis,
+    find_exact_quadruples,
+    grid_reports,
+    lookup_claim,
+)
 
 
 def _same(x):
@@ -91,3 +101,74 @@ def test_pool_round_trip():
     assert back == items
     assert [type(x) for x in back] == [CongruenceReport] + [QuadrupleHit] * len(hits)
     assert back[0].params == {"N": 1, "R": 1, "n": 4, "r": 1}
+
+
+# The encoders' references: the JSON line is to_obj() through the encoder,
+# and the CSV row is read off the same object.
+def _json_oracle(r: CongruenceReport) -> str:
+    return _JSON.encode(r.to_obj()) + "\n"
+
+
+def _csv_oracle(r: CongruenceReport) -> str:
+    o = r.to_obj()
+    lhs, rhs = o["lhs"], o["rhs"]
+    params = ";".join(f"{k}={v}" for k, v in o["params"].items())
+    return _csv_writer().writerow([o["claim_id"], o["p"], params, o["precision"], lhs["exact"] or "",
+                                   lhs["residue"], rhs["exact"] or "", rhs["residue"],
+                                   o["diff_valuation"], o["verdict"]])
+
+
+def _claim_reports() -> list[CongruenceReport]:
+    # Every claim over a small grid at each prime it takes up to 11, the
+    # p = 5 negative controls included, then bailey5's mod-p^5 control and
+    # a K1 value past 4300 digits.
+    ranges = {"N": range(3), "R": range(3), "n": range(6), "r": range(6), "e": range(1, 3),
+              "n_parts": range(2, 4), "s": range(1, 3), "d": range(1, 3)}
+    reports = [rep for claim in CLAIMS for p in (3, 5, 7, 11) if p >= claim.min_p
+               for rep in grid_reports(claim.id, p, ranges)]
+    return reports + [check_bailey5(5, 1, 1, 4, 1, precision=5),
+                      check_kazandzidis(1009, 12, 6, form="K1")]
+
+
+def test_line_writer_matches_the_encoder_on_every_claim():
+    reports = _claim_reports()
+    ids = {r.claim_id for r in reports}
+    assert ids == {rid for claim in CLAIMS for rid in claim.reports}  # h12 and h12p too
+    assert any(not r.ok for r in reports) and any(r.p == 5 and not r.ok for r in reports)
+    assert any(r.diff_valuation == math.inf for r in reports)
+    assert reports[-1].lhs_exact is not None and '"lhs":{"exact":null' in encode_report(reports[-1])
+    for r in reports:
+        assert encode_report(r) == _json_oracle(r), r
+        assert encode_report(r, "csv") == _csv_oracle(r), r
+
+
+def test_line_writer_matches_the_encoder_on_synthetic_reports():
+    # Params with negative and huge ints, bools, None, floats and strings
+    # that need escaping; claim ids that need escaping; signed exact values.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.one_of(st.integers(-10**40, 10**40), st.booleans(), st.text(max_size=6),
+                      st.none(), st.floats(allow_nan=False), st.lists(st.integers(), max_size=2))
+    exact = st.one_of(st.none(), st.fractions())
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        claim_id=st.text(max_size=8), p=st.integers(2, 10**6), precision=st.integers(1, 9),
+        residues=st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)),
+        dv=st.one_of(st.integers(-3, 70), st.just(math.inf)), verdict=st.sampled_from(("pass", "fail")),
+        lhs=exact, rhs=exact, params=st.dictionaries(st.text(max_size=5), value, max_size=5),
+    )
+    def check(claim_id, p, precision, residues, dv, verdict, lhs, rhs, params):
+        r = CongruenceReport(claim_id, p, precision, *residues, dv, verdict, lhs, rhs, params)
+        assert encode_report(r) == _json_oracle(r)
+        assert encode_report(r, "csv") == _csv_oracle(r)
+
+    check()
+
+
+def test_an_exact_value_past_4300_digits_is_null():
+    # 10^4300 has 4301 digits; -(10^4300 - 1) has 4300, the most written.
+    rep = congruence_report("x", 7, 1, Fraction(10**4300, 3), -(10**4300 - 1), {"n": -1})
+    line = encode_report(rep)
+    assert line == _json_oracle(rep)
+    assert '"lhs":{"exact":null' in line and f'"exact":"-{10**4300 - 1}/1"' in line

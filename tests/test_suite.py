@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -267,6 +268,17 @@ class TestThm2Case1:
         rep = check_thm2_case1(5, 3, 1, 4, 1)
         assert not rep.ok
         assert rep.lhs_residue == 2501 and rep.rhs_residue == 1
+
+    def test_c_value_matches_the_fraction_formula(self):
+        # thm2_c_value sums integers over L = lcm(1..p-1); the reference sums
+        # the harmonic numbers as Fractions.
+        for p in primes_in_range(5, 19):
+            h = [sum(Fraction(1, i) for i in range(1, n + 1)) for n in range(p)]
+            w = suite._wp(p)
+            for N, R, n, r in itertools.product(range(p), repeat=4):
+                if R <= N and r <= n:
+                    c = h[n] * N - h[r] * R + (w * N * R - h[n - r]) * (N - R)
+                    assert thm2_c_value(p, N, R, n, r) == c, (p, N, R, n, r)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -552,6 +564,24 @@ class TestDispatchAndGrids:
         assert len(sizes) == len(blocks) > 1 and sum(sizes) < 64 * 1024
         assert sum(Path(path).stat().st_size for path, _, _ in blocks) == 6300605
 
+    def test_grid_tests_each_prime_a_few_times(self, monkeypatch, tmp_path):
+        # Each modulus p^k is tested prime once, not once a check: the
+        # checkers' p and the modular sides' moduli are cached.
+        calls, is_prime = [], padic.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(padic, "is_prime", counted)
+        monkeypatch.setattr(suite, "is_prime", counted)
+        suite._require_prime.cache_clear()
+        suite._prime_power.cache_clear()
+        ranges = {"N": range(3), "R": range(3), "n": range(13), "r": range(13)}
+        blocks = suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, tmp_path)
+        assert sum(sum(counts.values()) for _, counts, _ in blocks) == 6084
+        assert set(calls) == {13, 17, 19, 23} and len(calls) <= 4 * 4
+
     def test_missing_range(self):
         with pytest.raises(PreconditionError):
             grid_reports("main_p5", 7, {"n": range(3)})
@@ -802,6 +832,48 @@ class TestRatioSide:
         side = suite._binom_side(7, 4000, 100, 7**10)
         with pytest.raises(NonIntegralError, match="divisible by 7"):
             side(5)
+
+    @staticmethod
+    def _divisible_den_cases():
+        # (claim, p, a, b, den) with p | den: K2 and main (e = 1, 2) at
+        # binom(n p^e, r p^e) / binom(n, r), thm2_case1 at N >= p; and a
+        # den with a p to spare, whose side is not p-integral.
+        for p, e, n in itertools.product((3, 5, 7), (1, 2), range(16)):
+            for r in range(n + 1):
+                if binom(n, r) % p == 0:
+                    yield "kazandzidis_k2/main", p, n * p**e, r * p**e, binom(n, r)
+                    yield "not p-integral", p, n * p**e, r * p**e, binom(n, r) * p**3
+        for p in (5, 7):
+            for N, R, n, r in itertools.product(range(p, p + 3), range(p + 3), range(p), range(p)):
+                den = binom(N, R) * binom(n, r)
+                if R <= N and r <= n and den % p == 0:
+                    yield "thm2_case1", p, N * p**3 + n, R * p**3 + r, den
+
+    def test_integer_side_matches_the_fraction_side(self, monkeypatch):
+        # The modular side divides binom(a, b) mod p^(k+v) by den's p^v and
+        # its unit part; the reference reduces the Fraction over den.
+        def outcome(f, k):
+            try:
+                return f(k)
+            except NonIntegralError as exc:
+                return str(exc)
+
+        monkeypatch.setattr(suite, "_EXACT_ARG_LIMIT", 0)
+        seen = collections.Counter()
+        for claim, p, a, b, den in self._divisible_den_cases():
+            side = suite._binom_side(p, a, b, den)
+            if not callable(side):  # binomials 0, 1 and a stay exact
+                continue
+            v = valuation(den, p)
+
+            def reference(k):
+                return padic._reduce(Fraction(binom_mod(a, b, PrimePower(p, k + v)), den), p, k)
+
+            for k in range(1, 8):
+                assert outcome(side, k) == outcome(reference, k), (claim, p, a, b, den, k)
+            seen[claim, isinstance(outcome(side, 5), str)] += 1
+        assert seen.keys() == {("kazandzidis_k2/main", False), ("thm2_case1", False),
+                               ("not p-integral", True)}
 
 
 class TestReportSerialization:
