@@ -274,6 +274,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     f"not [{p_min}, {p_max}]"
                 )
             start = ck["last_p"] + 1
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: the kernel calls no BLAS
     records = irregular_scan(
         p_min, p_max, workers=workers, checkpoint_path=args.checkpoint, start=start
     )

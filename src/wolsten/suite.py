@@ -519,11 +519,12 @@ def _grid_one(slab: tuple) -> tuple[dict[int, int], list[CongruenceReport]]:
     return counts, failed[::-1]
 
 
-# A few slabs per worker balance uneven ones.  A slab's checks, at 30 us
-# for the cheapest claims, outweigh the pool's start; a smaller stream is
-# one slab, which parallel_map runs inline.
+# A few slabs per worker balance uneven ones.  Every slab's checks, at
+# 16 us for the cheapest claims (a bailey5 check), outweigh the pool's
+# start; a stream under two slabs' minimum is one slab, which parallel_map
+# runs inline.
 _SLABS_PER_WORKER = 4
-_SLAB_MIN = round(POOL_START_S / 30e-6)
+_SLAB_MIN = round(POOL_START_S / 16e-6)
 
 
 def grid_blocks(
@@ -543,8 +544,8 @@ def grid_blocks(
     axes = tuple(ranges[name] for name in claim.params)
     size = math.prod(map(len, axes))
     total = size * len(primes)
-    step = max(-(-total // (_SLABS_PER_WORKER * workers)), _SLAB_MIN)  # points per slab
-    bounds = [(a, min(a + step, total)) for a in range(0, total, step)]
+    count = max(min(_SLABS_PER_WORKER * workers, total // _SLAB_MIN), 1)  # each >= _SLAB_MIN
+    bounds = [(i * total // count, (i + 1) * total // count) for i in range(count) if total]
     slabs = [(claim.id, primes[a // size : -(-b // size)], axes, precision, fmt,
               a % size, a % size + b - a, os.path.join(spill, f"{i}.{fmt}"))
              for i, (a, b) in enumerate(bounds)]

@@ -1008,6 +1008,64 @@ class TestImports:
         assert seen == [[], [], []]
         assert kernel_loaded
 
+    @staticmethod
+    def _run(script, *args, **env):
+        # A fresh process whose environment has exactly the OpenBLAS
+        # setting given (none by default), whatever this process holds.
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**environ, **env})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    _SCAN_THREADS = (
+        "import json, os\n"
+        "import wolsten.cli as cli\n"
+        "cli.main(['scan', '--pmax', '30', '--workers', '1'])\n"
+        "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks and len(tasks)]))\n"
+    )
+
+    def test_scan_starts_numpy_without_a_blas_thread_pool(self):
+        # The kernel makes no BLAS call, so OpenBLAS gets one thread: the
+        # process keeps its one thread after numpy is loaded.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc/self/task to count the threads")
+        assert self._run(self._SCAN_THREADS) == ["1", 1]
+
+    def test_scan_keeps_a_preset_blas_thread_count(self):
+        assert self._run(self._SCAN_THREADS, OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+    def test_only_scan_sets_the_blas_thread_count(self):
+        # verify, mhs and the kernel module itself leave the environment,
+        # which subprocesses inherit, as they found it.
+        script = (
+            "import json, os\n"
+            "import wolsten.cli as cli\n"
+            "before = dict(os.environ)\n"
+            "cli.main(['verify', '--claim', 'main', '--p', '7', '--n-max', '6', '--workers', '1'])\n"
+            "cli.main(['mhs', '--s', '1', '--n', '4'])\n"
+            "import wolsten.kernel\n"
+            "print(json.dumps(dict(os.environ) == before))\n"
+        )
+        assert self._run(script) is True
+
+    def test_grid_under_two_slabs_starts_no_pool(self, tmp_path):
+        # 3042 points make one slab (each needs suite._SLAB_MIN), which runs
+        # inline on 2 workers and writes what 1 worker writes.
+        script = (
+            "import json, sys\n"
+            "import wolsten.cli as cli\n"
+            "argv = ['verify', '--claim', 'bailey5', '--pmin', '13', '--pmax', '17',\n"
+            "        '--N-max', '2', '--n-max', '12', '--workers', sys.argv[1], '--out', sys.argv[2]]\n"
+            "code = cli.main(argv)\n"
+            "print(json.dumps([code, 'multiprocessing' in sys.modules]))\n"
+        )
+        outs = [tmp_path / f"grid{w}.json" for w in (1, 2)]
+        assert [self._run(script, w, out) for w, out in zip((1, 2), outs)] == [[0, False]] * 2
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_no_dataclasses_or_inspect_and_csv_on_demand(self, tmp_path):
         # Each costs start-up in every process (dataclasses brings inspect,
         # ast, dis and tokenize); csv loads with the first CSV line.

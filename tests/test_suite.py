@@ -193,6 +193,31 @@ class TestKazandzidis:
         with pytest.raises(PreconditionError):
             check_kazandzidis(7, 2, 1, form="K3")
 
+    # Small n on the exact route, and n past _EXACT_ARG_LIMIT / p on the
+    # modular one.
+    _K2_POINTS = {5: [*range(41), *range(390, 421)], 7: [*range(41), *range(300, 331)],
+                  11: range(31), 13: range(31)}
+
+    def test_k2_improved_modulus(self):
+        # Kazandzidis: binom(np, rp) / binom(n, r) == 1 mod p^3 p^v_p(nr(n-r))
+        # for p >= 5 and 0 < r < n.  Below p^5, main_p5 gives the same
+        # difference as w_p nr(n-r) p^3, whose valuation is the bound
+        # while w_p is a p-unit.
+        modular = high = 0
+        for p, ns in self._K2_POINTS.items():
+            for n in ns:
+                for r in range(1, n):
+                    bound = 3 + valuation(n * r * (n - r), p)
+                    rep = check_kazandzidis(p, n, r, form="K2")
+                    assert rep.diff_valuation >= bound, (p, n, r)
+                    modular += rep.lhs_exact is None
+                    high += bound >= 6
+                    if bound < 5 and p >= 7:
+                        main = check_main(p, n, r)
+                        assert main.ok and main.lhs_residue % p**3 == rep.lhs_residue
+                        assert rep.diff_valuation == valuation(main.rhs_residue - 1, p) == bound
+        assert (modular, high) == (17924, 964)
+
 
 class TestMain:
     def test_exact_seven_instance(self):
@@ -490,13 +515,14 @@ class TestDispatchAndGrids:
         assert sum(len(failed) for _, _, failed in blocks) == 37
 
     # Each case against grid_reports at each prime: two reports per point
-    # (h12), a 5408-point modular grid, which is cut into slabs (bailey5),
+    # (h12), a 12675-point modular grid, which is cut into two slabs inside
+    # p = 17's grid (bailey5),
     # and an exploratory prime (thm2_case2 at p = 5).  A slab minimum of 7
     # cuts every stream, mostly across primes.
     _STREAMS = {
         "main_p5": ([5], {"n": range(13), "r": range(13)}),
         "h12": (primes_in_range(7, 101), {}),
-        "bailey5": ([13, 17], {"N": range(4), "R": range(4), "n": range(13), "r": range(13)}),
+        "bailey5": ([13, 17, 19], {"N": range(5), "R": range(5), "n": range(13), "r": range(13)}),
         "thm2_case2": ([5, 7, 11], {"N": range(3), "R": range(3), "n": range(7), "r": range(7)}),
     }
 
@@ -539,7 +565,9 @@ class TestDispatchAndGrids:
         ranges = {"N": range(7), "R": range(7), "n": range(13), "r": range(13)}
         suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, tmp_path, workers=2)
         [(name, slabs, workers)] = calls
-        assert name == "_grid_one" and workers == 2 and 2 <= len(slabs) <= 32
+        # At least two slabs per worker, each of at least _SLAB_MIN points.
+        assert name == "_grid_one" and workers == 2 and 4 <= len(slabs) <= 8
+        assert min(stop - start for *_, start, stop, _ in slabs) >= suite._SLAB_MIN
         # The slabs, last first, cover the 33124 points once, end to end,
         # each with its own spill file in the directory given.
         covered = [(primes[0], start, stop) for _, primes, _, _, _, start, stop, _ in slabs]
@@ -547,6 +575,24 @@ class TestDispatchAndGrids:
         assert sum(stop - start for _, start, stop in covered) == 33124
         paths = [Path(path) for *_, path in slabs]
         assert len(set(paths)) == len(slabs) and {p.parent for p in paths} == {tmp_path}
+
+    @pytest.mark.parametrize("side, slab_min, workers, count", [
+        (4, 3, 1, 4),
+        (4, 5, 2, 3),  # 16 points: 5, 5 and 6, not 5, 5, 5 and 1
+        (4, 9, 2, 1),  # under two slabs' minimum: one slab, run inline
+        (4, 17, 2, 1),
+        (5, 3, 2, 8),
+    ])
+    def test_every_slab_holds_the_minimum(self, side, slab_min, workers, count, monkeypatch,
+                                          tmp_path):
+        calls = []
+        monkeypatch.setattr(suite, "parallel_map", lambda fn, items, w: calls.extend(items) or [])
+        monkeypatch.setattr(suite, "_SLAB_MIN", slab_min)
+        ranges = {"n": range(side), "r": range(side)}
+        suite.grid_blocks("main_p5", [5], ranges, tmp_path, workers=workers)
+        sizes = [stop - start for *_, start, stop, _ in calls]
+        assert len(sizes) == count and sum(sizes) == side * side
+        assert min(sizes) >= min(slab_min, side * side)
 
     def test_workload_grid_results_are_small(self, monkeypatch, tmp_path):
         # The same grid's 6.3 MB of report lines stay in the spill files:
