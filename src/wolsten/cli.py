@@ -18,28 +18,43 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bernoulli import (
-    IrregularRecord,
-    bernoulli_exact,
-    irregular_scan,
-    read_checkpoint,
-    records_to_jsonl,
-)
+from . import _import
 from .errors import WolstenError
-from .harmonic import Composition, mhs_exact, mhs_mod
-from .padic import PrimePower, format_rational, is_prime, primes_in_range, reduce_mod
-from .report import encode_report, join_lines, render_table, table_row
-# grid_reports and reports_to_jsonl are unused here; bench/probe.py patches them.
-from .report import reports_to_jsonl  # noqa: F401
-from .suite import (  # noqa: F401
-    CLAIMS,
-    Claim,
-    find_exact_quadruples,
-    grid_blocks,
-    grid_reports,
-    lookup_claim,
-)
+
+if TYPE_CHECKING:
+    from .suite import Claim
+
+# The names the commands take from each module.  A command loads its
+# modules on first use through _load, which binds these names here unless
+# one is bound already, so a name rebound on this module (by a test, or
+# by bench/probe.py, which also wraps grid_reports and reports_to_jsonl)
+# is the one the command calls.
+_IMPORTS = {
+    "bernoulli": ("IrregularRecord", "bernoulli_exact", "irregular_scan", "read_checkpoint",
+                  "records_to_jsonl"),
+    "harmonic": ("Composition", "mhs_exact", "mhs_mod"),
+    "padic": ("PrimePower", "format_rational", "is_prime", "primes_in_range", "reduce_mod"),
+    "report": ("encode_report", "join_lines", "render_table", "reports_to_jsonl", "scan_line",
+               "table_row"),
+    "suite": ("CLAIMS", "find_exact_quadruples", "grid_blocks", "grid_reports", "lookup_claim"),
+}
+
+
+def _load(*modules: str) -> None:
+    for module in modules:
+        loaded = _import(f"{__package__}.{module}")
+        for name in _IMPORTS[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _IMPORTS.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -211,6 +226,7 @@ def _spill_dir(out: Path | None):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _load("padic", "report", "suite")
     claim = lookup_claim(args.claim)
     primes = _primes_for(args, claim)
     ranges = _param_ranges(claim, args, primes[-1])
@@ -246,6 +262,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    _load("bernoulli", "report")
     workers = _workers(args)
     p_min, p_max = args.pmin, args.pmax
     if p_max < max(p_min, 5):  # the full range, also when resuming
@@ -300,6 +317,7 @@ _SEARCH_P_MAX = 127
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    _load("report", "suite")
     if args.p > _SEARCH_P_MAX:
         raise WolstenError(f"--p {args.p}: the search takes primes up to {_SEARCH_P_MAX}")
     out = _out_file(args)
@@ -337,6 +355,7 @@ def _printable(value: Fraction, flag: str) -> str:
 
 
 def _cmd_mhs(args: argparse.Namespace) -> int:
+    _load("harmonic", "padic")
     comp = Composition.parse(args.s)
     if args.mod:
         m = PrimePower.parse(args.mod)
@@ -359,6 +378,7 @@ def _cmd_mhs(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    _load("bernoulli", "padic")
     if args.k > _BERNOULLI_K_MAX:  # --mod reduces the exact value too
         raise WolstenError(f"--k {args.k}: B_k is computed exactly, also for --mod, "
                            f"up to k = {_BERNOULLI_K_MAX}")
@@ -379,6 +399,7 @@ _REPORT_TAKES = "wolsten report renders the JSON lines of verify reports and sca
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _load("report")
     path = _out_path(getattr(args, "in"))
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -401,7 +422,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for i, o in objs:
         try:
-            rows.append(table_row(o) if verify_report else _scan_line(o))
+            rows.append(table_row(o) if verify_report else scan_line(o))
         except (KeyError, TypeError, AttributeError):
             kind = "verify report" if verify_report else "scan record"
             raise WolstenError(f"{path} line {i}: malformed {kind}") from None
@@ -417,9 +438,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_line(o: dict) -> str:
-    flag = " irregular" if o.get("irregular") else ""
-    return f"p={o['p']}  w_mod_p={o['w_mod_p']}  b_pm3_mod_p={o['b_pm3_mod_p']}{flag}"
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser: verify's --claim help names every claim, so the
+    claim registry is loaded when that help is shown, not to build it."""
+
+    def format_help(self) -> str:
+        for action in self._actions:
+            if action.dest == "claim":
+                _load("suite")
+                names = ", ".join(name for c in CLAIMS for name in (c.id, *c.aliases))
+                action.help = f"one of: {names}"
+        return super().format_help()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,11 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wolsten",
         description="Verify Wolstenholme-type binomial congruences and harmonic-sum identities.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     v = sub.add_parser("verify", help="run one claim over parameters or a grid")
-    names = ", ".join(name for c in CLAIMS for name in (c.id, *c.aliases))
-    v.add_argument("--claim", required=True, help=f"one of: {names}")
+    v.add_argument("--claim", required=True)
     v.add_argument("--p", type=int)
     v.add_argument("--pmin", type=int)
     v.add_argument("--pmax", type=int)

@@ -30,7 +30,7 @@ import itertools
 import math
 import threading
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonIntegralError, PreconditionError
 # reduce_mod and valuation are unused here; bench/probe.py patches them.
@@ -43,7 +43,9 @@ from .padic import (
     reduce_mod,
     valuation,
 )
-from .report import CongruenceReport, congruence_report
+
+if TYPE_CHECKING:  # report is imported by the two claim checkers that build reports
+    from .report import CongruenceReport
 
 
 class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
@@ -78,20 +80,18 @@ class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
-        """Parse "1,2" as (1,2); the token "1^3" expands to 1,1,1."""
+        """Parse "1,2" as (1,2); the token "1^3" expands to 1,1,1.
+
+        A token is ASCII digits, alone or followed by ^ and a count of at
+        least 1; int() alone would also take "1_0", "-3" and "７".
+        """
         parts: list[int] = []
         for tok in text.split(","):
             tok = tok.strip()
-            try:
-                if "^" in tok:
-                    base, _, count = tok.partition("^")
-                    parts.extend([int(base)] * int(count))
-                elif tok:
-                    parts.append(int(tok))
-            except ValueError:
-                raise PreconditionError(
-                    f"cannot parse composition {text!r}: bad token {tok!r}"
-                ) from None
+            base, hat, count = tok.partition("^")
+            if not (tok.isascii() and base.isdigit() and (not hat or count.isdigit() and int(count))):
+                raise PreconditionError(f"cannot parse composition {text!r}: bad token {tok!r}")
+            parts.extend([int(base)] * (int(count) if hat else 1))
         return cls(tuple(parts))
 
     def __str__(self) -> str:
@@ -203,6 +203,8 @@ def genwols_check(s: int, d: int, p: int) -> CongruenceReport:
         raise PreconditionError(f"p={p} must be an odd prime")
     if p < s * d + 3:
         raise PreconditionError(f"requires p >= s*d + 3, got p={p}, s*d={s * d}")
+    from .report import congruence_report
+
     precision = 2 if (s * d) % 2 else 1
     h = mhs_exact(Composition.repeat(s, d), p - 1)
     return congruence_report("genwols", p, precision, h, 0, {"s": s, "d": d})
@@ -249,6 +251,8 @@ def h12_checks(p: int) -> tuple[CongruenceReport, CongruenceReport]:
     """
     if not is_prime(p) or p < 7:
         raise PreconditionError(f"p={p} must be a prime >= 7")
+    from .report import congruence_report
+
     n = p - 1
     h1 = mhs_exact(Composition.of(1), n)
     h11 = mhs_exact(Composition.of(1, 1), n)

@@ -98,14 +98,10 @@ class PrimePower(NamedTuple("PrimePower", [("p", int), ("k", int)])):
     def parse(cls, text: str) -> "PrimePower":
         """Parse the strict "p^k" form ("7^5"); a bare prime means k=1."""
         s = text.strip()
-        if "^" in s:
-            base, _, exp = s.partition("^")
-            if not (base.strip().isdigit() and exp.strip().isdigit()):
-                raise PreconditionError(f"cannot parse modulus {text!r}")
-            return cls(int(base), int(exp))
-        if not s.isdigit():
+        base, hat, exp = s.partition("^")  # ASCII digits only: int() takes "７" too
+        if not (s.isascii() and base.strip().isdigit() and (not hat or exp.strip().isdigit())):
             raise PreconditionError(f"cannot parse modulus {text!r}")
-        return cls(int(s), 1)
+        return cls(int(base), int(exp) if hat else 1)
 
 
 class Residue(NamedTuple("Residue", [("value", int), ("modulus", PrimePower)])):

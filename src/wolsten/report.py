@@ -251,6 +251,12 @@ def table_row(o: dict) -> tuple[str, ...]:
     return tuple(str(cell) for cell in cells)
 
 
+def scan_line(o: dict) -> str:
+    """A `report` line for a scan record; raises as table_row does if o lacks a field."""
+    flag = " irregular" if o.get("irregular") else ""
+    return f"p={o['p']}  w_mod_p={o['w_mod_p']}  b_pm3_mod_p={o['b_pm3_mod_p']}{flag}"
+
+
 def render_table(rows: list[tuple[str, ...]]) -> str:
     """Human-readable table of table_row rows for the `report` subcommand."""
     rows = [("claim", "p", "params", "prec", "lhs", "rhs", "v(diff)", "verdict"), *rows]

@@ -658,9 +658,11 @@ class TestAdHoc:
         assert proc.stderr == "error: cannot parse composition 'a': bad token 'a'\n"
 
     def test_mhs_bad_composition_names_the_token(self, capsys):
-        for text, token in (("1,x", "x"), ("2^b", "2^b"), ("1^", "1^")):
+        for text, token in (("1,x", "x"), ("2^b", "2^b"), ("1^", "1^"), ("2,1^0", "1^0"),
+                            ("2,1^-3", "1^-3"), ("1,,2", ""), ("1_0", "1_0")):
             assert run_cli("mhs", "--s", text, "--n", "4") == 2
-            assert f"bad token {token!r}" in capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert out == "" and f"bad token {token!r}" in err
 
     def test_bernoulli(self, capsys):
         assert run_cli("bernoulli", "--k", "12") == 0
@@ -1089,6 +1091,64 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], [], ["csv"]]
+
+    # Each command loads only the modules it runs: a process compiles
+    # what it loads when no bytecode is cached.
+    @staticmethod
+    def _loaded(*argv):
+        script = (
+            "import json, sys\n"
+            "import wolsten.cli as cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('wolsten'))]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        return {m.removeprefix("wolsten.") for m in loaded}
+
+    def test_mhs_loads_exactly_harmonic_and_padic(self):
+        assert self._loaded("mhs", "--s", "1", "--n", "4") == {
+            "wolsten", "cli", "errors", "harmonic", "padic"}
+
+    def test_mhs_as_a_module_lists_its_imports(self):
+        # Under -m the CLI is __main__; -X importtime lists every module
+        # the command loads, the lazily loaded ones too.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "wolsten.cli", "mhs", "--s", "1", "--n", "4"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert {n for n in names if n.startswith("wolsten")} == {
+            "wolsten", "wolsten.errors", "wolsten.harmonic", "wolsten.padic"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (("bernoulli", "--k", "10"), {"suite", "binomial", "kernel"}),
+        (("bernoulli", "--k", "10", "--mod", "7^2"), {"suite", "binomial", "kernel"}),
+        (("scan", "--pmax", "30", "--workers", "1"), {"suite", "binomial"}),
+        (("verify", "--claim", "h12", "--p", "7"), {"kernel"}),
+        (("search", "--p", "7", "--workers", "1"), {"kernel"}),
+    ])
+    def test_command_skips_modules_it_does_not_run(self, argv, absent):
+        assert not self._loaded(*argv) & absent
+
+    def test_report_loads_report_and_padic(self, tmp_path):
+        scan = tmp_path / "scan.json"
+        assert run_cli("scan", "--pmax", "30", "--workers", "1", "--out", str(scan)) == 0
+        assert self._loaded("report", "--in", scan) == {"wolsten", "cli", "errors", "report",
+                                                        "padic"}
+
+    def test_verify_help_lists_every_claim(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("verify", "--help")
+        assert exit_.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps the help
+        names = [name for c in suite.CLAIMS for name in (c.id, *c.aliases)]
+        assert len(names) > len(suite.CLAIMS)
+        assert f"one of: {', '.join(names)}" in out
 
 
 class TestPinnedBytes:

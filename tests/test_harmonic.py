@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -31,6 +32,18 @@ class TestComposition:
         assert Composition.parse("1,2").parts == (1, 2)
         assert Composition.parse("1^3").parts == (1, 1, 1)
         assert Composition.parse("2,1^2").parts == (2, 1, 1)
+        assert Composition.parse(" 3 , 1^2 ").parts == (3, 1, 1)
+
+    @pytest.mark.parametrize("text, token", [
+        ("2,1^0", "1^0"), ("2,1^-3", "1^-3"), ("1,,2", ""), (",1", ""), ("1,2,", ""),
+        ("", ""), ("1_0", "1_0"), ("\uff11", "\uff11"), ("2^\uff13", "2^\uff13"), ("+1", "+1"),
+        ("1 ^ 2", "1 ^ 2"), ("1^2^3", "1^2^3"), ("1^", "1^"), ("^2", "^2"),
+    ])
+    def test_parse_rejects_malformed_tokens(self, text, token):
+        # int() alone would take "1_0", "+1" and fullwidth digits, and a
+        # count below 1 or an empty token would change the composition.
+        with pytest.raises(PreconditionError, match=f"bad token {re.escape(repr(token))}"):
+            Composition.parse(text)
 
     def test_depth_weight(self):
         c = Composition.of(3, 1, 4)

@@ -78,6 +78,11 @@ class TestPrimePower:
         with pytest.raises(PreconditionError):
             PrimePower.parse("5^3^2")
 
+    @pytest.mark.parametrize("text", ["\uff17^2", "7^\uff12", "\uff17", "7^", "^2", "7_0", "+7", ""])
+    def test_parse_takes_ascii_digits_only(self, text):
+        with pytest.raises(PreconditionError, match="cannot parse modulus"):
+            PrimePower.parse(text)
+
     def test_no_overflow_at_scan_scale(self):
         big = PrimePower(9999991, 5)  # prime just below 10^7
         assert big.modulus == 9999991**5
