@@ -2,16 +2,15 @@
 
 Exact big-integer evaluation (math.comb / exact rationals) serves small
 arguments.  Past them every binomial claim reads its binomial from
-binom_mod, a prime-power reduction based on Wilson-product factorials and
-Legendre's carry count; it is verdict-equivalent to the exact route and
-tested against it on dense grids.
+binom_mod, Granville's generalized Wilson product with Legendre's carry
+count, whose cost grows with p (below P_BOUND) but hardly with the
+arguments; it is verdict-equivalent to the exact route and tested against it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from array import array
 from fractions import Fraction
 
 from .errors import (
@@ -80,77 +79,72 @@ def ratio(num: int | Fraction, den: int | Fraction) -> Fraction:
 # --------------------------------------------------------------------------
 # Prime-power modular route
 #
-# binom(a,b) = p^e * F(a) / (F(b) F(a-b)) with e the carry count and
-# F(n) the p-free part of n!.  Modulo q = p^k, F reduces through the
-# generalized Wilson product: the product of all units up to q is -1 for
-# odd p (and for q in {2,4}), so (m!)_p == (+-1)^(m // q) * g[m mod q]
-# with g a prefix-product table of the units.  The table only needs to
-# reach min(argument, q - 1): when q exceeds every argument no wrap
-# occurs, which keeps escalated precisions (p^5, p^7, ...) cheap.
+# binom(a,b) = p^e F(a) / (F(b) F(a-b)), with e the carry count and F(n) =
+# G(n) G(n // p) G(n // p^2) ... the p-free part of n!, where G(m) is the
+# product of the units up to m.  Mod q = p^k, G is Granville's generalized
+# Wilson product ("Binomial coefficients modulo prime powers", 1997): with
+# the block f(z) = (z+1)...(z+p-1) and H_t(z) = f(z) f(z+p) ... f(z+(t-1)p),
+# G(tp + s) = H_t(0) (tp+1)...(tp+s).  Shifts are multiples of p and only
+# z = 0 is read, so z^i weighs as p^i and H_t keeps k coefficients mod q.
 
-_TABLE_CAP = 1 << 22
-_tables: dict[tuple[int, int], array | list] = {}
-_tables_lock = threading.Lock()
+P_BOUND = 1 << 21  # the block takes O(p k) steps: about 1.1 s near p = 10^6 at k = 7
 
 
-def _unit_prefix(p: int, q: int, upto: int) -> array | list:
-    with _tables_lock:
-        g = _tables.get((p, q))
-        if g is None:
-            if len(_tables) >= 6:
-                _tables.clear()
-            # Compact 64-bit storage when the modulus allows it.
-            g = array("q", [1]) if q < 2**63 else [1]
-            _tables[(p, q)] = g
-        if len(g) <= upto:
-            acc = g[-1]
-            for i in range(len(g), upto + 1):
-                if i % p:
-                    acc = acc * i % q
-                g.append(acc)
-        return g
+def _check_p(p: int) -> None:
+    if p >= P_BOUND:
+        raise BudgetExceededError(f"p={p}: the modular binomials need p < {P_BOUND}")
 
 
-def _p_free_factorial(n: int, g: array | list, p: int, q: int, wilson_negative: bool) -> int:
-    # g is the prefix table of the units mod q, through min(n, q - 1).
-    res = 1
-    wraps = 0
-    m = n
-    while m:
-        res = res * g[m % q] % q
-        wraps += m // q
-        m //= p
-    if wilson_negative and wraps % 2:
-        res = q - res
-    return res
+@functools.lru_cache(maxsize=256)
+def _block(p: int, k: int) -> tuple[int, ...]:
+    """f, as a product in w = z(z+p) = (z+i)(z+p-i) - i(p-i), which weighs as p^2."""
+    if p == 2:
+        return ((1, 1) + (0,) * k)[:k]
+    q = p**k
+    g = [1] + [0] * ((k - 1) // 2)  # w^j for 2j < k
+    for i in range(1, (p + 1) // 2):  # g <- g (w + i(p-i))
+        g = [(x * i * (p - i) + y) % q for x, y in zip(g, [0, *g])]
+    # w^j = z^j (z + p)^j puts C(j, i) p^(j-i) on z^(j+i).
+    return tuple(sum(g[j] * math.comb(j, n - j) * p ** (2 * j - n)
+                     for j in range((n + 1) // 2, min(n, len(g) - 1) + 1)) % q for n in range(k))
+
+
+@functools.lru_cache(maxsize=1024)
+def _wilson(p: int, k: int, t: int) -> tuple[int, ...]:
+    """H_t for t >= 1, as H_h(z) H_(t-h)(z + hp) with h = t // 2: O(k^2 log t)."""
+    if t == 1:
+        return _block(p, k)
+    h, q = t // 2, p**k
+    f, g = _wilson(p, k, h), [0] * k
+    for c in reversed(_wilson(p, k, t - h)):  # g <- g (z + hp) + c, by Horner
+        g = [(x * h * p + y) % q for x, y in zip(g, [c, *g])]
+    return tuple(sum(f[i] * g[n - i] for i in range(n + 1)) % q for n in range(k))
+
+
+@functools.lru_cache(maxsize=4096)
+def _p_free_factorial(n: int, p: int, k: int) -> int:
+    t, q = n // p, p**k
+    res = _p_free_factorial(t, p, k) * _wilson(p, k, t)[0] if t else 1
+    for i in range(t * p + 1, n + 1):
+        res = res * i % q
+    return res % q
 
 
 def binom_mod(a: int, b: int, m: PrimePower) -> int:
     """binom(a, b) reduced modulo p^k without forming the big integer.
 
     Verdict-equivalent to binom(a, b) % p^k; intended for integer
-    congruence checks whose arguments make exact evaluation costly.
+    congruence checks whose arguments make exact evaluation costly.  Any
+    argument size is taken; p must be below P_BOUND (BudgetExceededError).
     """
     if a < 0:
         raise PreconditionError(f"a must be >= 0, got {a}")
     if b < 0 or b > a:
         return 0
-    p, q = m.p, m.modulus
-    c = a - b
-    e = (
-        legendre_valuation(a, p)
-        - legendre_valuation(b, p)
-        - legendre_valuation(c, p)
-    )
-    if e >= m.k:
+    p, k, q = m.p, m.k, m.modulus
+    _check_p(p)
+    e = binom_valuation(a, b, p)
+    if e >= k:
         return 0
-    wilson_negative = not (p == 2 and m.k >= 3)
-    upto = min(a, q - 1)  # one table serves a, b and c <= a
-    if upto > _TABLE_CAP:
-        raise BudgetExceededError(f"argument {a} too large for the prefix table (cap {_TABLE_CAP})")
-    g = _unit_prefix(p, q, upto)
-    fa = _p_free_factorial(a, g, p, q, wilson_negative)
-    fb = _p_free_factorial(b, g, p, q, wilson_negative)
-    fc = _p_free_factorial(c, g, p, q, wilson_negative)
-    unit = fa * pow(fb * fc % q, -1, q) % q
-    return p**e * unit % q
+    den = _p_free_factorial(b, p, k) * _p_free_factorial(a - b, p, k)
+    return p**e * _p_free_factorial(a, p, k) * pow(den, -1, q) % q

@@ -53,6 +53,7 @@ class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+    DEPTH_MAX = 10**6  # parse's bound: H(s;n) = 0 for n < depth, and it costs n * depth steps
 
     def __new__(cls, parts: tuple[int, ...]) -> Composition:
         if len(parts) == 0:
@@ -83,15 +84,20 @@ class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
         """Parse "1,2" as (1,2); the token "1^3" expands to 1,1,1.
 
         A token is ASCII digits, alone or followed by ^ and a count of at
-        least 1; int() alone would also take "1_0", "-3" and "７".
+        least 1; int() alone would also take "1_0", "-3" and "７".  A token
+        that would take the depth past DEPTH_MAX is refused before it expands.
         """
         parts: list[int] = []
         for tok in text.split(","):
             tok = tok.strip()
             base, hat, count = tok.partition("^")
-            if not (tok.isascii() and base.isdigit() and (not hat or count.isdigit() and int(count))):
+            count = count.lstrip("0") if hat else "1"
+            if not (tok.isascii() and base.isdigit() and count.isdigit()):
                 raise PreconditionError(f"cannot parse composition {text!r}: bad token {tok!r}")
-            parts.extend([int(base)] * (int(count) if hat else 1))
+            if len(parts) + (int(count) if len(count) <= 7 else cls.DEPTH_MAX + 1) > cls.DEPTH_MAX:
+                raise PreconditionError(
+                    f"composition {text!r}: token {tok!r} takes the depth past {cls.DEPTH_MAX}")
+            parts.extend([int(base)] * int(count))
         return cls(tuple(parts))
 
     def __str__(self) -> str:

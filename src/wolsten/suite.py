@@ -12,10 +12,10 @@ computes no binomial: it decides each tuple by Theorem 2's c mod p^2.
 
 grid_reports returns a grid's reports in lexicographic order, one task
 per point.  grid_blocks, the CLI's path, cuts a prime range's points into
-a few slabs per worker; each worker runs its slab last point first and
-writes its report lines, first to last, to its own spill file.  That file
-is a slab's only side effect: its result is its line counts per prime and
-its failed reports, so no report text crosses the pool.
+a few slabs per worker; each worker checks its slab's points in order and
+writes each report line to its own spill file as it goes.  That file is a
+slab's only side effect: its result is its line counts per prime and its
+failed reports, so no report text crosses the pool.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bernoulli import (
     bernoulli_exact,
     wolstenholme_quotient,
 )
-from .binomial import binom, binom_mod, ratio, rising_binom
+from .binomial import _check_p, binom, binom_mod, ratio, rising_binom
 from .errors import PreconditionError, WolstenError
 from .harmonic import (
     Composition,
@@ -111,10 +111,12 @@ def _binom_side(p: int, a: int, b: int, den: int = 1) -> Fraction | Callable[[in
     infinite valuation.  The modular side must be p-integral: with v =
     v_p(den), binom(a, b) mod p^(k+v), divided by p^v and by den's unit
     part, is the side mod p^k; when p^v does not divide it, a p is left in
-    the denominator and NonIntegralError is raised.
+    the denominator and NonIntegralError is raised.  A p past binom_mod's
+    bound raises here, before the other side (w_p, Theorem 2's c) costs seconds.
     """
     if b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
         return ratio(binom(a, b), den)
+    _check_p(p)
     v = valuation(den, p)
     pv, unit = p**v, den // p**v
 
@@ -499,24 +501,21 @@ def _grid_one(slab: tuple) -> tuple[dict[int, int], list[CongruenceReport]]:
     claim_id, primes, axes, precision, fmt, start, stop, path = slab
     claim = lookup_claim(claim_id)
     size = math.prod(map(len, axes))
-    lines, counts, failed = [], {}, []
-    for k in reversed(range(len(primes))):  # the points run last to first
-        p, at = primes[k], k * size
-        backwards = itertools.product(*(axis[::-1] for axis in axes))
-        skip, end = max(at + size - stop, 0), size - max(start - at, 0)
-        for combo in itertools.islice(backwards, skip, end):
-            params = dict(zip(claim.params, combo))
-            if claim.domain is not None and not claim.domain(p, **params):
-                continue
-            reports = run_check(claim.id, p, params, precision)
-            counts[p] = counts.get(p, 0) + len(reports)
-            for rep in reversed(reports):
-                lines.append(encode_report(rep, fmt))
-                if not rep.ok:
-                    failed.append(rep)
+    counts, failed = {}, []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(reversed(lines))
-    return counts, failed[::-1]
+        for at, p in zip(itertools.count(0, size), primes):  # at: p's first point in the stream
+            points = itertools.product(*axes)
+            for combo in itertools.islice(points, max(start - at, 0), min(stop - at, size)):
+                params = dict(zip(claim.params, combo))
+                if claim.domain is not None and not claim.domain(p, **params):
+                    continue
+                reports = run_check(claim.id, p, params, precision)
+                counts[p] = counts.get(p, 0) + len(reports)
+                for rep in reports:
+                    fh.write(encode_report(rep, fmt))
+                    if not rep.ok:
+                        failed.append(rep)
+    return counts, failed
 
 
 # A few slabs per worker balance uneven ones.  Every slab's checks, at
@@ -537,8 +536,8 @@ def grid_blocks(
     worker checks a slab's points in the domain and writes their lines in
     fmt ("json" or "csv") to the slab's file in the directory spill.  The
     files in the order returned hold the lines of grid_reports' reports at
-    each prime.  Slabs and their points run last to first, so the largest
-    prime's last failing point raises, on any worker count.
+    each prime.  The stream's first point that raises names the error, on
+    any worker count: parallel_map returns, and so raises, in slab order.
     """
     claim = _grid_claim(claim_id, ranges, precision)
     axes = tuple(ranges[name] for name in claim.params)
@@ -549,5 +548,5 @@ def grid_blocks(
     slabs = [(claim.id, primes[a // size : -(-b // size)], axes, precision, fmt,
               a % size, a % size + b - a, os.path.join(spill, f"{i}.{fmt}"))
              for i, (a, b) in enumerate(bounds)]
-    results = parallel_map(_grid_one, slabs[::-1], workers)[::-1]
+    results = parallel_map(_grid_one, slabs, workers)
     return [(slab[-1], counts, failed) for slab, (counts, failed) in zip(slabs, results)]

@@ -1,8 +1,12 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import prefix_table_reference
 import pytest
+from prefix_table_reference import binom_mod_table
 
 from wolsten import binomial
 from wolsten.binomial import (
@@ -136,7 +140,8 @@ class TestBinomMod:
                 assert binom_mod(a, b, m) == math.comb(a, b) % q, (p, k, a, b)
 
     def test_wilson_sign_powers_of_two(self):
-        # p = 2 flips the Wilson sign for k >= 3
+        # p = 2 flipped the table route's Wilson sign for k >= 3; its block
+        # is the single factor z + 1.
         for k in (1, 2, 3, 4, 6):
             m = PrimePower(2, k)
             for a in range(0, 70):
@@ -144,13 +149,14 @@ class TestBinomMod:
                     assert binom_mod(a, b, m) == math.comb(a, b) % m.modulus
 
     def test_huge_modulus_prefix_route(self):
-        # q far above the table cap but above the argument: no-wrap route
+        # q = 31^7 far above the argument: no level reaches a full block of q.
         m = PrimePower(31, 7)
         a, b = 20000, 8551
         assert binom_mod(a, b, m) == math.comb(a, b) % m.modulus
 
     def test_moduli_either_side_of_the_table_cap(self):
-        # 19^5 lies just under the table cap, 23^5 just over it.
+        # 19^5 lies just under the old prefix table's 2^22 cap and 23^5
+        # just over it, where that route raised; arguments past q wrap.
         rng = random.Random(55)
         for p in (19, 23):
             m = PrimePower(p, 5)
@@ -159,22 +165,79 @@ class TestBinomMod:
                      ((6, 1, 12, 3), (6, 6, 0, 12), (3, 0, 5, 5), (1, 1, 12, 12))]
             cases += [(a, rng.randrange(0, a + 1))
                       for a in (rng.randrange(0, 40000) for _ in range(40))]
-            if q < binomial._TABLE_CAP:  # else q - 1 exceeds the prefix table
-                cases += [(q - 1, b) for b in (0, 1, 2, 17, q - 1, q - 40)]
+            cases += [(q - 1, b) for b in (0, 1, 2, 17, q - 1, q - 40)]
+            cases += [(q, 1), (q + 3, 2), (q + 1000, 19), (q + 1000, q + 990), (2 * q + 5, 3)]
             for a, b in cases:
                 assert binom_mod(a, b, m) == math.comb(a, b) % q, (p, a, b)
-        # Arguments past the modulus wrap: the full table under the cap ...
-        m = PrimePower(19, 5)
-        q = m.modulus
-        for a, b in ((q, 1), (q + 3, 2), (q + 1000, 19), (q + 1000, q + 990), (2 * q + 5, 3)):
-            assert binom_mod(a, b, m) == math.comb(a, b) % q, (a, b)
-        # ... and no route over it.
-        with pytest.raises(BudgetExceededError):
-            binom_mod(23**5 + 1, 1, PrimePower(23, 5))
 
-    def test_no_wrap_table_stays_argument_sized(self, monkeypatch):
-        monkeypatch.setattr(binomial, "_tables", {})
-        a = 6 * 13**3 + 12  # the largest bailey5 argument at p = 13, below 13^5
-        for b in (1, 13**3, a // 2):
-            binom_mod(a, b, PrimePower(13, 5))
-        assert len(binomial._tables[(13, 13**5)]) <= a + 1
+    def test_memory_does_not_grow_with_the_argument(self):
+        # The prefix table held 8 bytes per unit up to the argument, 27 MB
+        # here; the block product holds polynomials of k coefficients.
+        for cached in (binomial._block, binomial._wilson, binomial._p_free_factorial):
+            cached.cache_clear()
+        a = 6 * 83**3 + 12  # the largest bailey5 argument at p = 83, N = 6
+        tracemalloc.start()
+        try:
+            for b in (2, 83**3, a // 2):
+                binom_mod(a, b, PrimePower(83, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024  # 43 KB on CPython 3.11
+
+    def test_p_bound(self):
+        m = PrimePower(2097169, 1)  # the first prime past 2^21
+        with pytest.raises(BudgetExceededError, match=r"^p=2097169: the modular binomials need p < 2097152$"):
+            binom_mod(5, 2, m)
+        assert binom_mod(5, 2, PrimePower(2097143, 1)) == 10  # the last prime below
+
+
+class TestBinomModOracles:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_against_math_comb(self, p):
+        # Small arguments with any b, and arguments up to (p + 1) q whose
+        # b or a - b stays small enough to expand.
+        rng = random.Random(p)
+        for k in range(1, 10):
+            m = PrimePower(p, k)
+            q = m.modulus
+            cases = [(a, rng.randrange(a + 1)) for a in (rng.randrange(3000) for _ in range(12))]
+            for j in (1, 2, p + 1):
+                a = j * q + rng.randrange(q)
+                cases += [(a, 2), (a, rng.randrange(40)), (a, max(a - rng.randrange(40), 0))]
+            for a, b in cases:
+                assert binom_mod(a, b, m) == math.comb(a, b) % q, (p, k, a, b)
+
+    @pytest.mark.parametrize("p", [37, 61, 83])
+    def test_against_the_prefix_table(self, p):
+        # Grid arguments N p^3 + n as the Np^3 claims take them, and random
+        # ones, below the table's old cap; mod p^2 they wrap past q.
+        rng = random.Random(p)
+        p3 = p**3
+        cases = [(N * p3 + n, R * p3 + r)
+                 for N, R, n, r in itertools.product(range(4), range(4), (0, 1, p // 2, p - 1),
+                                                     (0, 2, p - 1))
+                 if R * p3 + r <= N * p3 + n]
+        cases += [(a, rng.randrange(a + 1)) for a in (rng.randrange(3 * p3) for _ in range(100))]
+        try:
+            for k in (2, 5):
+                for a, b in cases:
+                    assert binom_mod(a, b, PrimePower(p, k)) == binom_mod_table(a, b, p, k), (k, a, b)
+        finally:
+            prefix_table_reference._tables.clear()
+
+    def test_huge_arguments_satisfy_pascal_and_lucas(self):
+        # Past any table: Pascal's rule mod p^k, and Lucas' theorem mod p.
+        rng = random.Random(9)
+        for p, k in ((2, 9), (7, 5), (83, 5), (10007, 3)):
+            m = PrimePower(p, k)
+            for _ in range(30):
+                a = rng.randrange(10**30)
+                b = rng.randrange(1, a)
+                pascal = binom_mod(a - 1, b, m) + binom_mod(a - 1, b - 1, m)
+                assert binom_mod(a, b, m) == pascal % m.modulus, (p, k, a, b)
+                lucas, x, y = 1, a, b
+                while x:
+                    lucas = lucas * math.comb(x % p, y % p) % p
+                    x, y = x // p, y // p
+                assert binom_mod(a, b, PrimePower(p, 1)) == lucas, (p, a, b)

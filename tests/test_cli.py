@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from wolsten import bernoulli, cli, report, suite
+from wolsten import bernoulli, cli, parallel, report, suite
 from wolsten.cli import main
+from wolsten.errors import BudgetExceededError
 from wolsten.parallel import parallel_map
 from wolsten.report import encode_report
 from wolsten.suite import check_main
@@ -264,37 +265,60 @@ class TestVerifyUsageErrors:
         claim = argv[1]
         assert capsys.readouterr().err == f"error: claim {claim!r} needs {flag}\n"
 
+    @pytest.fixture
+    def refuse_from_n3_at_89(self, monkeypatch):
+        """binom_mod refuses p = 89's arguments from 3 * 89^3 on, in workers too.
+
+        The pool is shut down on both sides, so its workers fork with this
+        patch and none outlives it.
+        """
+        binom_mod = suite.binom_mod
+
+        def refuse(a, b, m):
+            if m.p == 89 and a >= 3 * 89**3:
+                raise BudgetExceededError(f"binom({a}, {b}) refused")
+            return binom_mod(a, b, m)
+
+        monkeypatch.setattr(suite, "binom_mod", refuse)
+        parallel._shutdown_pool()
+        yield
+        parallel._shutdown_pool()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_budget_error_names_the_check(self, workers, capsys):
-        # binom(6 * 89^3 + 5, R * 89^3 + 2) needs a prefix table past the
-        # cap; on 2 workers the error crosses the pool.  A grid runs its
-        # last point first, so the error names R = 3.
+    def test_budget_error_names_the_check(self, workers, refuse_from_n3_at_89, monkeypatch,
+                                          capsys):
+        # A slab per point: on 2 workers the error crosses the pool.  A grid
+        # runs its points first to last, so the error names R = 0.
+        monkeypatch.setattr(suite, "_SLAB_MIN", 1)
         code = run_cli("verify", "--claim", "bailey5", "--p", "89", "--N", "6", "--R-max", "3",
                        "--n", "5", "--r", "2", "--workers", workers)
         assert code == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            "error: bailey5 p=89 {'N': 6, 'R': 3, 'n': 5, 'r': 2}: "
-            "argument 4229819 too large for the prefix table (cap 4194304)\n"
+            "error: bailey5 p=89 {'N': 6, 'R': 0, 'n': 5, 'r': 2}: binom(4229819, 2) refused\n"
         )
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_grid_past_the_table_fails_before_other_work(self, workers, capsys):
-        # The grid's points run last to first.  Its last points, r = 5 and
-        # r = 4, are b = a and b = a - 1 on the exact route; the next one
-        # reads binom(6 * 89^3 + 5, ...) past the table, before any N < 6.
-        start = time.perf_counter()
-        code = run_cli("verify", "--claim", "bailey5", "--p", "89", "--N-max", "6", "--n-max", "5",
-                       "--workers", workers)
-        assert code == 2 and time.perf_counter() - start < 1.0
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 5, 'r': 3}: ")
+    def test_grid_past_the_p_bound_fails_before_other_work(self, workers, capsys):
+        # The first prime past 2^21.  The grid's points with N = 0 and its
+        # b <= 1 ones are exact; the first point on the modular route, N =
+        # 1 and r = 2, raises before any other.  main's w_p would take
+        # seconds; its modular side is refused first.
+        for argv in (("bailey5", "--N-max", "6", "--n-max", "5"), ("main", "--n", "2", "--r", "1")):
+            start = time.perf_counter()
+            code = run_cli("verify", "--claim", argv[0], "--p", "2097169", *argv[1:],
+                           "--workers", workers)
+            assert code == 2 and time.perf_counter() - start < 1.0
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: p=2097169: the modular binomials need p < 2097152\n"
 
     @pytest.mark.parametrize("slab_min", [None, 100])
-    def test_table_cap_names_the_same_point_on_any_worker_count(self, slab_min, monkeypatch,
-                                                                capsys):
-        # The stream's last point that passes the table is at p = 89; a slab
-        # minimum of 100 cuts the 4802 points into 8 slabs on 2 workers.
+    def test_a_failing_point_is_named_the_same_on_any_worker_count(
+        self, slab_min, refuse_from_n3_at_89, monkeypatch, capsys
+    ):
+        # Every point from N = 3 on at p = 89 raises, in several slabs; the
+        # stream's first, N = 3 and r = 2, is named.  A slab minimum of 100
+        # cuts the 4802 points into 8 slabs on 2 workers.
         if slab_min is not None:
             monkeypatch.setattr(suite, "_SLAB_MIN", slab_min)
         errs = []
@@ -305,18 +329,21 @@ class TestVerifyUsageErrors:
             assert out == "" and err.count("\n") == 1
             errs.append(err)
         assert errs[0] == errs[1]
-        assert errs[0].startswith("error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 6, 'r': 4}: ")
+        assert errs[0].startswith("error: bailey5 p=89 {'N': 3, 'R': 0, 'n': 0, 'r': 2}: ")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_failing_grid_leaves_no_out_and_no_spill(self, workers, tmp_path, capsys):
+    def test_failing_grid_leaves_no_out_and_no_spill(self, workers, refuse_from_n3_at_89,
+                                                     monkeypatch, tmp_path, capsys):
         # The slab files go to a hidden directory beside --out, which an
-        # error removes, after every running slab has finished.
+        # error removes, after every running slab has finished; p = 83's
+        # slabs have written theirs.
+        monkeypatch.setattr(suite, "_SLAB_MIN", 100)
         out = tmp_path / "grid.json"
         assert run_cli("verify", "--claim", "bailey5", "--pmin", "83", "--pmax", "89",
                        "--N-max", "6", "--n-max", "6", "--workers", workers,
                        "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith(
-            "error: bailey5 p=89 {'N': 6, 'R': 6, 'n': 6, 'r': 4}: ")
+            "error: bailey5 p=89 {'N': 3, 'R': 0, 'n': 0, 'r': 2}: ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -587,8 +614,8 @@ class TestSearch:
         assert run_cli("search", "--p", "7", "--method", "modular") == 0
 
     def test_p47_past_the_old_table(self, capsys):
-        # (p-1) p^3 + p - 1 is past binom_mod's 2^22-entry prefix table, and
-        # the search computes no binomial.
+        # (p-1) p^3 + p - 1 was past binom_mod's old 2^22-entry prefix
+        # table; the search computes no binomial anyway.
         assert run_cli("search", "--p", "47") == 0
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 2629 and err.startswith("p=47: 2629 hits")
@@ -663,6 +690,14 @@ class TestAdHoc:
             assert run_cli("mhs", "--s", text, "--n", "4") == 2
             out, err = capsys.readouterr()
             assert out == "" and f"bad token {token!r}" in err
+
+    @pytest.mark.parametrize("count", ["10000000", "1000000000"])
+    def test_mhs_depth_past_the_bound_exits_two(self, count, capsys):
+        for mod in ((), ("--mod", "7^1")):
+            assert run_cli("mhs", "--s", f"1^{count}", "--n", "1", *mod) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: composition '1^{count}': token '1^{count}' takes the depth past 1000000\n")
 
     def test_bernoulli(self, capsys):
         assert run_cli("bernoulli", "--k", "12") == 0

@@ -45,6 +45,18 @@ class TestComposition:
         with pytest.raises(PreconditionError, match=f"bad token {re.escape(repr(token))}"):
             Composition.parse(text)
 
+    @pytest.mark.parametrize("text, token", [
+        ("1^1000001", "1^1000001"), ("2,1^999999,3", "3"), ("1^600000, 2^400001 ,1", "2^400001"),
+        ("1^1000000000", "1^1000000000"), ("1^" + "9" * 5000, "1^" + "9" * 5000),
+    ])
+    def test_parse_refuses_a_depth_past_the_bound(self, text, token):
+        # The counts are summed before a token expands: no list of 10^9
+        # parts, and no int() of a count past str()'s digit limit.
+        with pytest.raises(PreconditionError, match=f"token {re.escape(repr(token))} takes the depth past 1000000$"):
+            Composition.parse(text)
+        assert Composition.parse("2,1^999999").depth == 10**6
+        assert Composition.parse("1^0003").parts == (1, 1, 1)
+
     def test_depth_weight(self):
         c = Composition.of(3, 1, 4)
         assert c.depth == 3 and c.weight == 8

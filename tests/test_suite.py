@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import pickle
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -266,13 +267,13 @@ class TestMainExp:
         assert check_main_exp(11, 3, 2, 2).ok
 
     def test_budget(self):
-        # 5 * 7^9 is past the old n p^e <= 10^6 budget: the modular side
-        # runs through Wilson wraps.  binom_mod's prefix table is the bound.
+        # 5 * 7^9 is past the old n p^e <= 10^6 budget, and 6 * 89^3 past
+        # the old prefix table.  binom_mod's bound on p is the budget, met
+        # before w_p costs anything.
         assert check_main_exp(7, 5, 1, 9).ok
-        with pytest.raises(
-            BudgetExceededError, match=r"^main_exp p=89 \{'n': 6, 'r': 1, 'e': 3\}: argument 4229814"
-        ):
-            check_main_exp(89, 6, 1, 3)
+        assert check_main_exp(89, 6, 1, 3).ok
+        with pytest.raises(BudgetExceededError, match=r"^p=2097169: the modular binomials need p < 2097152$"):
+            check_main_exp(2097169, 2, 1, 1)
 
 
 class TestThm2Case1:
@@ -457,6 +458,18 @@ class TestQuadrupleSearch:
     def test_matches_bailey5_oracle(self, p):
         assert [(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(p)] == self._bailey5_hits(p)
 
+    def test_sample_past_the_old_table_matches_bailey5(self):
+        # p = 47's grid arguments were past binom_mod's old 2^22 prefix
+        # table.  1000 hits and 1000 tuples at random (mostly not hits).
+        p, rng = 47, random.Random(47)
+        hits = {(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(p)}
+        tuples = [(N, R, n, r) for N in range(1, p) for R in range(1, N + 1)
+                  for n in range(1, p) for r in range(1, n + 1)]
+        sample = rng.sample(sorted(hits), 1000) + rng.sample(tuples, 1000)
+        assert len(hits) == 2629 and sum(t not in hits for t in sample) > 900
+        for t in sample:
+            assert check_bailey5(p, *t, precision=5).ok == (t in hits), t
+
     def test_computes_no_binomial(self, monkeypatch):
         oracle = self._bailey5_hits(13)
 
@@ -568,10 +581,10 @@ class TestDispatchAndGrids:
         # At least two slabs per worker, each of at least _SLAB_MIN points.
         assert name == "_grid_one" and workers == 2 and 4 <= len(slabs) <= 8
         assert min(stop - start for *_, start, stop, _ in slabs) >= suite._SLAB_MIN
-        # The slabs, last first, cover the 33124 points once, end to end,
-        # each with its own spill file in the directory given.
+        # The slabs, in stream order, cover the 33124 points once, end to
+        # end, each with its own spill file in the directory given.
         covered = [(primes[0], start, stop) for _, primes, _, _, _, start, stop, _ in slabs]
-        assert covered[0][0] == 23 and covered[-1][:2] == (13, 0)
+        assert covered[0][:2] == (13, 0) and covered[-1][0] == 23
         assert sum(stop - start for _, start, stop in covered) == 33124
         paths = [Path(path) for *_, path in slabs]
         assert len(set(paths)) == len(slabs) and {p.parent for p in paths} == {tmp_path}
@@ -775,10 +788,14 @@ class TestCongruenceEngine:
         with pytest.raises(BudgetExceededError, match=r"^bailey4 p=7 \{'n': 2, 'r': 1\}: difference valuation"):
             congruence_report("bailey4", 7, 3, lambda k: 21, 21, {"n": 2, "r": 1})
 
-    def test_budget_error_of_the_lhs_names_the_check(self):
+    def test_budget_error_of_the_lhs_names_the_check(self, monkeypatch):
+        def refuse(a, b, m):
+            raise BudgetExceededError(f"binom({a}, {b}) refused")
+
+        monkeypatch.setattr(suite, "binom_mod", refuse)
         with pytest.raises(
             BudgetExceededError,
-            match=r"^bailey5 p=89 \{'N': 6, 'R': 3, 'n': 5, 'r': 2\}: argument 4229819 too large",
+            match=r"^bailey5 p=89 \{'N': 6, 'R': 3, 'n': 5, 'r': 2\}: binom\(4229819, 2114909\) refused$",
         ):
             check_bailey5(89, 6, 3, 5, 2)
 
