@@ -16,14 +16,18 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bernoulli": ("IrregularRecord", "bernoulli_exact", "irregular_scan", "wolstenholme_quotient"),
+    "bernoulli": (
+        "IrregularRecord", "bernoulli_exact", "check_cor_ijk", "check_ji_zhoucai", "irregular_scan",
+        "wolstenholme_quotient",
+    ),
     "binomial": ("binom", "binom_mod", "kummer_valuation_check", "ratio", "rising_binom"),
     "errors": (
         "BudgetExceededError", "NonIntegralError", "NotInvertibleError", "PreconditionError",
         "WolstenError", "ZeroDenominatorError",
     ),
     "harmonic": (
-        "Composition", "composition_sum", "composition_sum_bruteforce", "composition_sum_exact",
+        "Composition", "check_prop_ijk", "check_wolstenholme", "composition_sum",
+        "composition_sum_bruteforce", "composition_sum_exact",
         "fp_polynomial_coeffs", "genwols_check", "h12_checks", "mhs_exact", "mhs_mod",
         "shuffle_check", "stirling1", "stirling_mhs_check",
     ),
@@ -32,12 +36,11 @@ _EXPORTS = {
         "padic_congruent", "primes_in_range", "reduce_mod", "valuation",
     ),
     "report": ("CongruenceReport",),
-    "suite": (
-        "QuadrupleHit", "check_bailey4", "check_bailey5", "check_cor_ijk", "check_ji_zhoucai",
-        "check_kazandzidis", "check_main", "check_main_exp", "check_prop_ijk",
-        "check_thm2_case1", "check_thm2_case2", "check_wolstenholme", "find_exact_quadruples",
-        "grid_reports", "run_check", "thm2_c_value",
+    "checks_binomial": (
+        "check_bailey4", "check_bailey5", "check_kazandzidis", "check_main", "check_main_exp",
+        "check_thm2_case1", "check_thm2_case2", "thm2_c_value",
     ),
+    "suite": ("QuadrupleHit", "find_exact_quadruples", "grid_reports", "run_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -8,22 +8,38 @@ dividing the numerator of B_{p-3}.  It gets w_p mod p from E. Lehmer's
 congruence sum_{k<=(p-1)/2} k^-3 == -2 B_{p-3} (mod p) (Ann. of Math. 39,
 1938), summed mod p by ``wolsten.kernel`` in numpy passes over a block
 of primes at once; the kernel is imported only when a scan starts.
+The claims on Bernoulli numbers alone, cor_ijk and ji_zhoucai, are
+checked here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from . import _import
 from .errors import PreconditionError, WolstenError
-from .harmonic import Composition, mhs_mod
+from .harmonic import Composition, composition_sum, composition_sum_exact, mhs_mod
 # reduce_mod is unused here; bench/probe.py patches it.
 from .padic import PrimePower, Residue, is_prime, primes_in_range, reduce_mod  # noqa: F401
-from .parallel import POOL_START_S, parallel_map
-from .report import encode_report, join_lines
+
+if TYPE_CHECKING:  # report loads with a scan or a claim check
+    from .report import CongruenceReport
+
+
+def __getattr__(name: str):
+    # The scan's names from parallel and report load on first use, so that
+    # `bernoulli --k` loads neither; one bound here first (bench/probe.py
+    # wraps parallel_map) is kept.
+    module = {"POOL_START_S": "parallel", "parallel_map": "parallel", "encode_report": "report",
+              "join_lines": "report"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(_import(f"{__package__}.{module}"), name))
 
 DEFAULT_EXACT_BOUND = 400
 
@@ -85,6 +101,51 @@ def wolstenholme_quotient(p: int) -> Residue:
     return Residue(h // (p * p), PrimePower(p, 2))
 
 
+def check_cor_ijk(p: int) -> CongruenceReport:
+    """sum 1/(ijk) over i+j+k=p == -2 B_{p-3} mod p, for primes p >= 5.
+
+    The right side always comes from the quotient route (-2 B == 6 w_p);
+    when p is within the exact Bernoulli bound the exact route must agree
+    or the verdict fails.  Beyond the bound the reported valuation is the
+    residue-level lower bound (1 when congruent).
+    """
+    from .report import FAIL, congruence_report
+
+    rhs_res = 6 * wolstenholme_quotient(p).value % p  # refuses p < 5
+    if p - 3 <= DEFAULT_EXACT_BOUND:
+        rhs = -2 * bernoulli_exact(p - 3)
+        rep = congruence_report("cor_ijk", p, 1, composition_sum_exact(3, p), rhs, {})
+        if rep.rhs_residue != rhs_res:
+            # The routes disagree: report the quotient route's residue.
+            rep = rep._replace(rhs_residue=rhs_res, verdict=FAIL)
+        return rep
+    m = PrimePower(p, 1)
+    return congruence_report("cor_ijk", p, 1, composition_sum(3, p, m), Residue(rhs_res, m), {})
+
+
+def check_ji_zhoucai(p: int, n_parts: int) -> CongruenceReport:
+    """Arbitrary-length composition sums against Bernoulli numbers.
+
+    Odd n:  sum == -(n-1)! B_{p-n}                   mod p.
+    Even n: sum == -(n! n p / (2(n+1))) B_{p-n-1}    mod p^2.
+    """
+    if not is_prime(p) or p < 5:
+        raise PreconditionError(f"p={p} must be a prime >= 5")
+    if not 2 <= n_parts <= p - 2:
+        raise PreconditionError(f"requires 2 <= n_parts <= p-2, got {n_parts}")
+    from .report import congruence_report
+
+    n = n_parts
+    if n % 2:
+        precision = 1
+        rhs = -math.factorial(n - 1) * bernoulli_exact(p - n)
+    else:
+        precision = 2
+        rhs = -Fraction(math.factorial(n) * n * p, 2 * (n + 1)) * bernoulli_exact(p - n - 1)
+    lhs = composition_sum_exact(n, p)
+    return congruence_report("ji_zhoucai", p, precision, lhs, rhs, {"n_parts": n})
+
+
 # --------------------------------------------------------------------------
 # Irregular-pair scan
 
@@ -99,8 +160,8 @@ SCAN_BLOCK_SIZE = 64
 # A large prime costs the kernel about 4.5 ns per unit of p (9.5 ms at
 # p = 2124679, in 64-bit lanes, on a 2-core machine).  A block per worker
 # repays the pool's start once a window's primes sum to about 3.6e7; the
-# threshold, about 9e7, leaves a margin over that.
-_SPLIT_WORK = 2.5 * 2 * POOL_START_S / 4.5e-9
+# threshold, 2.5 times that (about 9e7), leaves a margin.
+_NS_PER_P = 4.5e-9
 
 
 class IrregularRecord(NamedTuple):
@@ -160,11 +221,11 @@ def irregular_scan(
 
     primes = primes_in_range(max(p_min, start, 5), p_max)
     size = SCAN_BLOCK_SIZE
-    if sum(primes) >= _SPLIT_WORK:  # a few costly primes: a block per worker
+    if sum(primes) >= 2.5 * 2 * __getattr__("POOL_START_S") / _NS_PER_P:  # a block per worker
         size = min(size, -(-len(primes) // workers))
     blocks = [tuple(primes[i : i + size]) for i in range(0, len(primes), size)]
     records: list[IrregularRecord] = []
-    for block_result in parallel_map(_scan_block, blocks, workers):
+    for block_result in __getattr__("parallel_map")(_scan_block, blocks, workers):
         records += [IrregularRecord(p, w, -3 * w % p, w == 0) for p, w in block_result]
         if checkpoint_path is not None:
             _write_checkpoint(checkpoint_path, p_min, p_max, records[-1].p)
@@ -198,4 +259,5 @@ def read_checkpoint(path: str) -> dict:
 
 
 def records_to_jsonl(records: list[IrregularRecord]) -> str:
-    return join_lines(encode_report(r) for r in records)
+    encode = __getattr__("encode_report")
+    return __getattr__("join_lines")(encode(r) for r in records)

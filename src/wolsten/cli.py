@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import _import
 from .errors import WolstenError
@@ -38,7 +38,8 @@ _IMPORTS = {
     "padic": ("PrimePower", "format_rational", "is_prime", "primes_in_range", "reduce_mod"),
     "report": ("encode_report", "join_lines", "render_table", "reports_to_jsonl", "scan_line",
                "table_row"),
-    "suite": ("CLAIMS", "find_exact_quadruples", "grid_blocks", "grid_reports", "lookup_claim"),
+    "suite": ("CAP_FALLBACKS", "CLAIMS", "PARAM_DESTS", "find_exact_quadruples", "grid_blocks",
+              "grid_reports", "lookup_claim"),
 }
 
 
@@ -166,22 +167,10 @@ def _primes_for(args: argparse.Namespace, claim: Claim) -> list[int]:
     raise WolstenError("give either --p or both --pmin and --pmax")
 
 
-# When only the upper of a constrained pair is bounded (r <= n, R <= N),
-# the lower one inherits the bound; the claim's domain filter trims it.
-_CAP_FALLBACKS = {"r": "n", "R": "N"}
-
-# Claims whose domain keeps n and r below p: a cap on them past the
-# largest prime less one adds no point, so it is clamped before counting.
-_N_BELOW_P = ("bailey5", "thm2_case1", "thm2_case2")
-
-
-# The parameter flags of verify as argparse dests, in help order (a flag
-# the claim does not take is reported in this order); NAME_max bounds NAME.
-_PARAM_DESTS = ("N", "R", "n", "r", "e", "s", "d", "n_parts", "N_max", "R_max", "n_max", "r_max")
-
-
 def _param_ranges(claim: Claim, args: argparse.Namespace, p_top: int) -> dict[str, range]:
-    for dest in _PARAM_DESTS:
+    # The registry's cap rules: a cap falls back to its pair's, and one past
+    # the claim's bound at the largest prime is clamped before counting.
+    for dest in PARAM_DESTS:
         if getattr(args, dest) is not None and dest.removesuffix("_max") not in claim.params:
             raise WolstenError(f"claim {claim.id!r} does not take --{dest.replace('_', '-')}")
     ranges: dict[str, range] = {}
@@ -189,21 +178,22 @@ def _param_ranges(claim: Claim, args: argparse.Namespace, p_top: int) -> dict[st
         flag = name.replace("_", "-")
         scalar = getattr(args, name)
         cap = getattr(args, f"{name}_max", None)
-        if cap is None and name in _CAP_FALLBACKS:
-            cap = getattr(args, f"{_CAP_FALLBACKS[name]}_max", None)
-        if cap is not None and name in ("n", "r") and claim.id in _N_BELOW_P:
-            cap = min(cap, p_top - 1)
+        if cap is None and name in CAP_FALLBACKS:
+            cap = getattr(args, f"{CAP_FALLBACKS[name]}_max", None)
+        top = claim.top(name, p_top)
+        if cap is not None and top is not None:
+            cap = min(cap, top)
         if scalar is not None:
             ranges[name] = range(scalar, scalar + 1)
         elif cap is not None:
             ranges[name] = range(0, cap + 1)
         else:
-            grid = f" or --{flag}-max" if f"{name}_max" in _PARAM_DESTS else ""
+            grid = f" or --{flag}-max" if f"{name}_max" in PARAM_DESTS else ""
             raise WolstenError(f"claim {claim.id!r} needs --{flag}{grid}")
     points = math.prod(map(len, ranges.values()))
     if points > _GRID_LIMIT:
         flags = " ".join(f"--{d.replace('_', '-')} {getattr(args, d)}"
-                         for d in _PARAM_DESTS if getattr(args, d) is not None)
+                         for d in PARAM_DESTS if getattr(args, d) is not None)
         raise WolstenError(f"{flags}: the grid has {points} points per prime, past {_GRID_LIMIT}")
     return ranges
 
@@ -439,16 +429,39 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser: verify's --claim help names every claim, so the
-    claim registry is loaded when that help is shown, not to build it."""
+    """A subcommand's parser.  verify's arguments name the claims and their
+    parameters, so they are added from the claim registry when verify
+    parses or shows its help, not to build the parser."""
+
+    deferred: Callable[[argparse.ArgumentParser], None] | None = None
+
+    def _complete(self) -> None:
+        add, self.deferred = self.deferred, None
+        if add is not None:
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._complete()
+        return super().parse_known_args(args, namespace)
 
     def format_help(self) -> str:
-        for action in self._actions:
-            if action.dest == "claim":
-                _load("suite")
-                names = ", ".join(name for c in CLAIMS for name in (c.id, *c.aliases))
-                action.help = f"one of: {names}"
+        self._complete()
         return super().format_help()
+
+
+def _verify_arguments(v: argparse.ArgumentParser) -> None:
+    _load("suite")
+    v.add_argument("--claim", required=True,
+                   help="one of: " + ", ".join(name for c in CLAIMS for name in (c.id, *c.aliases)))
+    v.add_argument("--p", type=int)
+    v.add_argument("--pmin", type=int)
+    v.add_argument("--pmax", type=int)
+    for dest in PARAM_DESTS:
+        v.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=int)
+    v.add_argument("--precision", type=int, help="override the modulus exponent")
+    v.add_argument("--workers", type=int)
+    v.add_argument("--out")
+    v.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,16 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     v = sub.add_parser("verify", help="run one claim over parameters or a grid")
-    v.add_argument("--claim", required=True)
-    v.add_argument("--p", type=int)
-    v.add_argument("--pmin", type=int)
-    v.add_argument("--pmax", type=int)
-    for dest in _PARAM_DESTS:
-        v.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=int)
-    v.add_argument("--precision", type=int, help="override the modulus exponent")
-    v.add_argument("--workers", type=int)
-    v.add_argument("--out")
-    v.add_argument("--format", choices=("json", "csv"), default="json")
+    v.deferred = _verify_arguments
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("scan", help="scan primes for irregular pairs (p, p-3)")

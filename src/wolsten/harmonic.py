@@ -44,7 +44,7 @@ from .padic import (
     valuation,
 )
 
-if TYPE_CHECKING:  # report is imported by the two claim checkers that build reports
+if TYPE_CHECKING:  # report is imported by the claim checkers that build reports
     from .report import CongruenceReport
 
 
@@ -85,7 +85,8 @@ class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
 
         A token is ASCII digits, alone or followed by ^ and a count of at
         least 1; int() alone would also take "1_0", "-3" and "７".  A token
-        that would take the depth past DEPTH_MAX is refused before it expands.
+        that would take the depth past DEPTH_MAX is refused before it expands,
+        and a part of 10^6 or more by its digits, before int() reads it.
         """
         parts: list[int] = []
         for tok in text.split(","):
@@ -97,6 +98,9 @@ class Composition(NamedTuple("Composition", [("parts", tuple[int, ...])])):
             if len(parts) + (int(count) if len(count) <= 7 else cls.DEPTH_MAX + 1) > cls.DEPTH_MAX:
                 raise PreconditionError(
                     f"composition {text!r}: token {tok!r} takes the depth past {cls.DEPTH_MAX}")
+            if len(base := base.lstrip("0") or "0") > 6:
+                raise PreconditionError(
+                    f"composition {text!r}: token {tok!r} has a part of 10^6 or more")
             parts.extend([int(base)] * int(count))
         return cls(tuple(parts))
 
@@ -196,6 +200,33 @@ def shuffle_check(s: int, t: int, n: int) -> bool:
         + mhs_exact(Composition.of(s, t), n)
     )
     return hs * ht == rhs
+
+
+def check_wolstenholme(p: int, precision: int = 2) -> CongruenceReport:
+    """H(1;p-1) == 0 mod p^2 for primes p >= 5."""
+    if not is_prime(p) or p < 5:
+        raise PreconditionError(f"p={p} must be a prime >= 5")
+    from .report import congruence_report
+
+    h = mhs_exact(Composition.of(1), p - 1)
+    return congruence_report("wolstenholme", p, precision, h, 0, {})
+
+
+def check_prop_ijk(p: int) -> CongruenceReport:
+    """2H(2,1;p-1) == -2H(1,2;p-1) == sum 1/(ijk) over i+j+k=p, mod p."""
+    if not is_prime(p) or p < 3:
+        raise PreconditionError(f"p={p} must be an odd prime")
+    from .report import congruence_report
+
+    h21 = mhs_exact(Composition.of(2, 1), p - 1)
+    h12 = mhs_exact(Composition.of(1, 2), p - 1)
+    ok1, v1 = padic_congruent(2 * h21, -2 * h12, p, 1)
+    return congruence_report("prop_ijk", p, 1, 2 * h12 + composition_sum_exact(3, p), 0,
+                             {"first_link_valuation": int(v1)}, holds=ok1)
+
+
+def check_genwols(p: int, s: int, d: int) -> CongruenceReport:
+    return genwols_check(s, d, p)
 
 
 def genwols_check(s: int, d: int, p: int) -> CongruenceReport:

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, PreconditionError
-from .padic import Rational, Residue, _int_valuation, _reduce, valuation
+from .padic import INFINITE, Rational, Residue, _int_valuation, _reduce, valuation
 
 PASS = "pass"
 FAIL = "fail"
@@ -97,31 +97,55 @@ _EXACT_BOUND = 10**EXACT_DIGITS
 
 
 def _exact_text(x: Fraction | None) -> str | None:
-    if x is None or x.denominator >= _EXACT_BOUND or abs(x.numerator) >= _EXACT_BOUND:
+    if x is None:
+        return None
+    num, den = x.numerator, x.denominator
+    if den >= _EXACT_BOUND or abs(num) >= _EXACT_BOUND:
         return None
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{num}/{den}"
     except ValueError:
         # This interpreter's limit is below EXACT_DIGITS; Decimal's
         # conversion is not subject to it.
         from decimal import Decimal
 
-        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+        return f"{Decimal(num)}/{Decimal(den)}"
+
+
+# A line's head for each claim and prime, and the params' keys in sorted
+# order with their texts for each tuple of keys (None unless all are str).
+@functools.lru_cache(maxsize=256)
+def _head(claim_id: str, p: int) -> str:
+    return f'{{"claim_id":{_str(claim_id)},"p":{p},"params":{{'
+
+
+@functools.lru_cache(maxsize=64)
+def _keys(keys: tuple) -> tuple[tuple[str, str], ...] | None:
+    if not all(type(k) is str for k in keys):
+        return None
+    return tuple((k, f"{_str(k)}:") for k in sorted(keys))
 
 
 def _json_line(r: CongruenceReport) -> str:
     # _JSON.encode(r.to_obj()) + "\n", written directly while every param
     # is a str key with an int or str value (a bool is true, not True).
-    params = []
-    for k in sorted(r.params):
-        v = r.params[k]
-        if type(k) is not str or type(v) not in (int, str):
-            return _JSON.encode(r.to_obj()) + "\n"
-        params.append(f"{_str(k)}:{v}" if type(v) is int else f"{_str(k)}:{_str(v)}")
-    lhs, rhs, dv = r._texts()
+    params, keys, texts = r.params, _keys(tuple(r.params)), []
+    for k, key in keys or ():
+        v = params[k]
+        if type(v) is int:
+            texts.append(f"{key}{v}")
+        elif type(v) is str:
+            texts.append(key + _str(v))
+        else:
+            keys = None
+            break
+    if keys is None:
+        return _JSON.encode(r.to_obj()) + "\n"
+    lhs, rhs = _exact_text(r.lhs_exact), _exact_text(r.rhs_exact)
+    dv = "inf" if r.diff_valuation == math.inf else int(r.diff_valuation)
     lhs = "null" if lhs is None else f'"{lhs}"'
     rhs = "null" if rhs is None else f'"{rhs}"'
-    return (f'{{"claim_id":{_str(r.claim_id)},"p":{r.p},"params":{{{",".join(params)}}},'
+    return (f'{_head(r.claim_id, r.p)}{",".join(texts)}}},'
             f'"precision":{r.precision},"lhs":{{"exact":{lhs},"residue":"{r.lhs_residue}"}},'
             f'"rhs":{{"exact":{rhs},"residue":"{r.rhs_residue}"}},'
             f'"diff_valuation":{_str(dv) if dv == "inf" else dv},"verdict":{_str(r.verdict)}}}\n')
@@ -167,11 +191,11 @@ def congruence_report(
     elif callable(lhs):
         # Residues only: raise the modulus until the difference shows.  A
         # passing check's difference vanishes mod p^precision, so the first
-        # modulus is p^(precision+2); it gives lhs mod p^precision too.
+        # modulus is p^(precision+2); it gives both residues mod p^precision too.
         try:
             k = precision + 2
-            lhs_k = lhs(k)
-            lhs_res, d = lhs_k % q, (lhs_k - _reduce(rhs, p, k)) % p**k
+            lhs_k, rhs_k = lhs(k), _reduce(rhs, p, k)
+            lhs_res, rhs_res, d = lhs_k % q, rhs_k % q, (lhs_k - rhs_k) % p**k
             while not d:
                 k += 2
                 if k > 64:
@@ -179,17 +203,19 @@ def congruence_report(
                 d = (lhs(k) - _reduce(rhs, p, k)) % p**k
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{claim_id} p={p} {params}: {exc}") from None
-        v = _int_valuation(d, p)
-        rhs_res, rhs_exact = _reduce(rhs, p, precision), _fraction(rhs)
+        v, rhs_exact = _int_valuation(d, p), _fraction(rhs)
     else:
-        v = valuation(lhs - rhs, p)
-        lhs_res, rhs_res = _reduce(lhs, p, precision), _reduce(rhs, p, precision)
+        if type(lhs) is int and type(rhs) is int:  # no Fraction arithmetic
+            d = lhs - rhs
+            v = _int_valuation(d, p) if d else INFINITE
+            lhs_res, rhs_res = lhs % q, rhs % q
+        else:
+            v = valuation(lhs - rhs, p)
+            lhs_res, rhs_res = _reduce(lhs, p, precision), _reduce(rhs, p, precision)
         lhs_exact, rhs_exact = _fraction(lhs), _fraction(rhs)
-    return CongruenceReport(
-        claim_id=claim_id, p=p, precision=precision, lhs_residue=lhs_res, rhs_residue=rhs_res,
-        diff_valuation=v, verdict=PASS if v >= precision and holds else FAIL,
-        lhs_exact=lhs_exact, rhs_exact=rhs_exact, params=params,
-    )
+    verdict = PASS if v >= precision and holds else FAIL
+    return CongruenceReport(claim_id, p, precision, lhs_res, rhs_res, v, verdict, lhs_exact,
+                            rhs_exact, params)  # by position: faster than by keyword
 
 
 # json.dumps builds a new encoder on every call that passes separators.

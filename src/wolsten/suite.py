@@ -1,21 +1,20 @@
-"""One verifier per congruence claim, each returning a CongruenceReport.
+"""The claim registry, the grid driver and the quadruple search.
 
-Every report comes from report.congruence_report.  The seven binomial
-claims (bailey4, bailey5, kazandzidis_k2, main_p5, main_exp, thm2_case1,
-thm2_case2) take their side binom(a, b) / den from _binom_side, under one
-size rule: exact while the arguments are small, else k -> its residue mod
-p^k, and the engine still finds the difference valuation exactly by
-raising k.  cor_ijk past the exact Bernoulli bound hands it residues mod p.
-Negative controls (the p = 5 failures) run through the same verifiers and
-report the failing residues rather than raising.  The quadruple search
-computes no binomial: it decides each tuple by Theorem 2's c mod p^2.
+CLAIMS names each claim's checker, and lookup_claim loads its module:
+checks_binomial (the binomial claims), harmonic (the claims on harmonic
+sums alone) or bernoulli (those on Bernoulli numbers), so a verify
+process loads only its claim's code; w_p, which main_p5, main_exp,
+thm2_case1 and the search need, loads the harmonic and Bernoulli code
+on first use.  The checkers, and the names they import, also resolve
+here (PEP 562).
 
 grid_reports returns a grid's reports in lexicographic order, one task
 per point.  grid_blocks, the CLI's path, cuts a prime range's points into
 a few slabs per worker; each worker checks its slab's points in order and
 writes each report line to its own spill file as it goes.  That file is a
 slab's only side effect: its result is its line counts per prime and its
-failed reports, so no report text crosses the pool.
+failed reports, so no report text crosses the pool.  The quadruple search
+computes no binomial: it decides each tuple by Theorem 2's c mod p^2.
 """
 
 from __future__ import annotations
@@ -25,62 +24,25 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .bernoulli import (
-    DEFAULT_EXACT_BOUND,
-    bernoulli_exact,
-    wolstenholme_quotient,
-)
-from .binomial import _check_p, binom, binom_mod, ratio, rising_binom
+from . import _import
 from .errors import PreconditionError, WolstenError
-from .harmonic import (
-    Composition,
-    composition_sum,
-    composition_sum_exact,
-    genwols_check,
-    h12_checks,
-    mhs_exact,
-)
-# reduce_mod is unused here; bench/probe.py patches it.
-from .padic import (
-    PrimePower,
-    Residue,
-    _reduce,
-    is_prime,
-    padic_congruent,
-    reduce_mod,
-    valuation,
-)
-from .parallel import POOL_START_S, parallel_map
-from .report import FAIL, CongruenceReport, congruence_report, encode_report
+from .padic import _reduce, is_prime
+from .report import PASS, CongruenceReport, encode_report
 
-__all__ = [
-    "QuadrupleHit",
-    "check_wolstenholme",
-    "check_bailey4",
-    "check_bailey5",
-    "check_kazandzidis",
-    "check_main",
-    "check_main_exp",
-    "check_thm2_case1",
-    "check_thm2_case2",
-    "check_prop_ijk",
-    "check_cor_ijk",
-    "check_ji_zhoucai",
-    "find_exact_quadruples",
-    "thm2_c_value",
-    "run_check",
-    "grid_reports",
-    "grid_blocks",
-    "Claim",
-    "CLAIMS",
-    "lookup_claim",
-]
 
-# Largest top argument for which a binomial claim expands the exact
-# binomial (roughly 600 decimal digits); beyond it the modular route runs.
-_EXACT_ARG_LIMIT = 2_000
+@functools.lru_cache(maxsize=256)  # a grid tests its prime once, not once a check
+def _require_prime(p: int, minimum: int) -> None:
+    if not is_prime(p) or p < minimum:
+        raise PreconditionError(f"p={p} must be a prime >= {minimum}")
+
+
+@functools.cache
+def _wp(p: int) -> int:
+    from .bernoulli import wolstenholme_quotient
+
+    return wolstenholme_quotient(p).value
 
 
 @functools.lru_cache(maxsize=16)
@@ -90,236 +52,27 @@ def _h1_over_lcm(m: int) -> tuple[int, list[int]]:
     return L, list(itertools.accumulate((L // i for i in range(1, m + 1)), initial=0))
 
 
-@functools.cache
-def _wp(p: int) -> int:
-    return wolstenholme_quotient(p).value
-
-
-@functools.lru_cache(maxsize=256)  # a grid tests its prime once, not once a check
-def _require_prime(p: int, minimum: int) -> None:
-    if not is_prime(p) or p < minimum:
-        raise PreconditionError(f"p={p} must be a prime >= {minimum}")
-
-
-_prime_power = functools.lru_cache(maxsize=256)(PrimePower)  # the same for each modulus
-
-
-def _binom_side(p: int, a: int, b: int, den: int = 1) -> Fraction | Callable[[int], int]:
-    """binom(a, b) / den for congruence_report: exact while cheap, else k -> its residue mod p^k.
-
-    A binomial 0, 1 or a stays exact, so an exact equality keeps its
-    infinite valuation.  The modular side must be p-integral: with v =
-    v_p(den), binom(a, b) mod p^(k+v), divided by p^v and by den's unit
-    part, is the side mod p^k; when p^v does not divide it, a p is left in
-    the denominator and NonIntegralError is raised.  A p past binom_mod's
-    bound raises here, before the other side (w_p, Theorem 2's c) costs seconds.
-    """
-    if b <= 1 or b >= a - 1 or a <= _EXACT_ARG_LIMIT:
-        return ratio(binom(a, b), den)
-    _check_p(p)
-    v = valuation(den, p)
-    pv, unit = p**v, den // p**v
-
-    def side(k: int) -> int:
-        d = binom_mod(a, b, _prime_power(p, k + v))
-        if d % pv:  # p^v does not divide binom(a, b)
-            return _reduce(Fraction(d, den), p, k)  # raises NonIntegralError
-        return d // pv * pow(unit, -1, p**k) % p**k
-
-    return side
-
-
-def check_wolstenholme(p: int, precision: int = 2) -> CongruenceReport:
-    """H(1;p-1) == 0 mod p^2 for primes p >= 5."""
-    _require_prime(p, 5)
-    h = mhs_exact(Composition.of(1), p - 1)
-    return congruence_report("wolstenholme", p, precision, h, 0, {})
-
-
-def check_bailey4(p: int, n: int, r: int, precision: int = 3) -> CongruenceReport:
-    """binom(np, rp) == binom(n, r) mod p^3, with binom(n, r) = 0 when n < r."""
-    _require_prime(p, 5)
-    if n < 0 or r < 0:
-        raise PreconditionError("n and r must be non-negative")
-    return congruence_report(
-        "bailey4", p, precision, _binom_side(p, n * p, r * p), binom(n, r), {"n": n, "r": r}
-    )
-
-
-def check_bailey5(p: int, N: int, R: int, n: int, r: int, precision: int = 3) -> CongruenceReport:
-    """binom(N p^3 + n, R p^3 + r) == binom(N, R) binom(n, r) mod p^3 for n, r < p."""
-    _require_prime(p, 5)
-    if min(N, R, n, r) < 0:
-        raise PreconditionError("all parameters must be non-negative")
-    if n >= p or r >= p:
-        raise PreconditionError(f"requires n, r < p, got n={n}, r={r}, p={p}")
-    p3 = p**3
-    lhs = _binom_side(p, N * p3 + n, R * p3 + r)
-    rhs = binom(N, R) * binom(n, r)
-    return congruence_report("bailey5", p, precision, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
-
-
-def check_kazandzidis(
-    p: int, n: int, r: int, form: str = "K2", precision: int = 3
-) -> CongruenceReport:
-    """The rising-factorial (K1) and plain (K2) ratio congruences.
-
-    For p > 3 the ratio is == 1 mod p^3; for p = 3 the right side carries
-    the correction term 1 - p^2 n r (n+r) for K1 and 1 - p^2 n r (n-r)
-    for K2.  K1 accepts any integer n (r >= 1); K2 needs n >= r >= 0.
-    """
-    _require_prime(p, 3)
-    if form == "K1":
-        if r < 1:
-            raise PreconditionError(f"K1 needs r >= 1, got {r}")
-        lhs = ratio(rising_binom(n * p, r * p), rising_binom(n, r))
-        correction = n * r * (n + r)
-    elif form == "K2":
-        if not 0 <= r <= n:
-            raise PreconditionError(f"K2 needs n >= r >= 0, got n={n}, r={r}")
-        lhs = _binom_side(p, n * p, r * p, binom(n, r))
-        correction = n * r * (n - r)
-    else:
-        raise PreconditionError(f"form must be 'K1' or 'K2', got {form!r}")
-    rhs = Fraction(1 - p * p * correction) if p == 3 else Fraction(1)
-    claim = "kazandzidis_k1" if form == "K1" else "kazandzidis_k2"
-    return congruence_report(claim, p, precision, lhs, rhs, {"n": n, "r": r})
-
-
-def check_main(p: int, n: int, r: int, precision: int = 5) -> CongruenceReport:
-    """binom(np, rp) / binom(n, r) == 1 + w_p n r (n-r) p^3 mod p^5.
-
-    The theorem holds for primes >= 7; p = 5 is accepted so the failing
-    residues (751 vs 126 at n=4, r=1) can be reported.  n < r is an
-    error, not a vacuous pass.
-    """
-    return _main_report("main_p5", p, n, r, 1, precision, {"n": n, "r": r})
-
-
-def check_main_exp(p: int, n: int, r: int, e: int, precision: int = 5) -> CongruenceReport:
-    """The same mod-p^5 congruence with p replaced by p^e, any e >= 1."""
-    return _main_report("main_exp", p, n, r, e, precision, {"n": n, "r": r, "e": e})
-
-
-def _main_report(
-    claim_id: str, p: int, n: int, r: int, e: int, precision: int, params: dict
-) -> CongruenceReport:
-    _require_prime(p, 5)
-    if e < 1:
-        raise PreconditionError(f"e must be >= 1, got {e}")
-    if n < 0 or r < 0:
-        raise PreconditionError("n and r must be non-negative")
-    pe = p**e
-    # n < r surfaces as ZeroDenominatorError from the vanishing binom(n, r).
-    lhs = _binom_side(p, n * pe, r * pe, binom(n, r))
-    rhs = 1 + _wp(p) * n * r * (n - r) * p**3
-    return congruence_report(claim_id, p, precision, lhs, rhs, params)
-
-
 def _thm2_c(hn, hr, hd, w, N: int, R: int):
     """Theorem 2's c from H1(n), H1(r), H1(n-r) and w_p: Fractions, or residues mod p^2."""
     return hn * N - hr * R + (w * N * R - hd) * (N - R)
 
 
-def thm2_c_value(p: int, N: int, R: int, n: int, r: int) -> Fraction:
-    """The correction coefficient H1(n)N - H1(r)R + (w_p N R - H1(n-r))(N - R), for 0 <= r <= n."""
-    L, h = _h1_over_lcm(max(n, p - 1))  # c L is an integer
-    return Fraction(_thm2_c(h[n], h[r], h[n - r], _wp(p) * L, N, R), L)
+def __getattr__(name: str):
+    if not name.startswith("__"):  # the import machinery probes dunders
+        for module in ("checks_binomial", "harmonic", "bernoulli"):
+            loaded = _import(f"{__package__}.{module}")
+            if hasattr(loaded, name):
+                return getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def check_thm2_case1(
-    p: int, N: int, R: int, n: int, r: int, precision: int = 5
-) -> CongruenceReport:
-    """binom(Np^3+n, Rp^3+r) / [binom(N,R) binom(n,r)] == 1 + c p^3 mod p^5.
+def parallel_map(fn: Callable, items: list, workers: int) -> list:
+    """parallel.parallel_map, whose module loads only when more than one worker may run."""
+    if workers == 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    from .parallel import parallel_map
 
-    Requires r <= n < p and N >= R >= 0.  Valid as a theorem for p >= 7;
-    p = 5 runs as a negative control (2501 vs 1 at N=3, R=1, n=4, r=1).
-    """
-    _require_prime(p, 5)
-    if not (0 <= r <= n < p):
-        raise PreconditionError(f"requires 0 <= r <= n < p, got n={n}, r={r}")
-    if not 0 <= R <= N:
-        raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
-    p3 = p**3
-    lhs = _binom_side(p, N * p3 + n, R * p3 + r, binom(N, R) * binom(n, r))
-    c = thm2_c_value(p, N, R, n, r)
-    rhs = Fraction(c.denominator + c.numerator * p3, c.denominator)
-    params = {"N": N, "R": R, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"}
-    return congruence_report("thm2_case1", p, precision, lhs, rhs, params)
-
-
-def check_thm2_case2(
-    p: int, N: int, R: int, n: int, r: int, precision: int = 5
-) -> CongruenceReport:
-    """binom(Np^3+n, Rp^3+r) / binom(N,R) == (-1)^(r-n+1) ((N-R)/r) binom(r-1,n)^-1 p^3.
-
-    Mod p^5, for 1 <= n < r < p and N >= R >= 0.  Valid for p >= 7; at
-    p = 5 the verdicts are exploratory observations, not assertions.
-    """
-    _require_prime(p, 5)
-    if not (1 <= n < r < p):
-        raise PreconditionError(f"requires 1 <= n < r < p, got n={n}, r={r}")
-    if not 0 <= R <= N:
-        raise PreconditionError(f"requires N >= R >= 0, got N={N}, R={R}")
-    p3 = p**3
-    lhs = _binom_side(p, N * p3 + n, R * p3 + r, binom(N, R))
-    sign = -1 if (r - n + 1) % 2 else 1
-    rhs = Fraction(sign * (N - R) * p3, r * binom(r - 1, n))
-    return congruence_report("thm2_case2", p, precision, lhs, rhs, {"N": N, "R": R, "n": n, "r": r})
-
-
-def check_prop_ijk(p: int) -> CongruenceReport:
-    """2H(2,1;p-1) == -2H(1,2;p-1) == sum 1/(ijk) over i+j+k=p, mod p."""
-    if not is_prime(p) or p < 3:
-        raise PreconditionError(f"p={p} must be an odd prime")
-    h21 = mhs_exact(Composition.of(2, 1), p - 1)
-    h12 = mhs_exact(Composition.of(1, 2), p - 1)
-    comp = composition_sum_exact(3, p)
-    ok1, v1 = padic_congruent(2 * h21, -2 * h12, p, 1)
-    return congruence_report(
-        "prop_ijk", p, 1, 2 * h12 + comp, 0, {"first_link_valuation": int(v1)}, holds=ok1
-    )
-
-
-def check_cor_ijk(p: int) -> CongruenceReport:
-    """sum 1/(ijk) over i+j+k=p == -2 B_{p-3} mod p, for primes p >= 5.
-
-    The right side always comes from the quotient route (-2 B == 6 w_p);
-    when p is within the exact Bernoulli bound the exact route must agree
-    or the verdict fails.  Beyond the bound the reported valuation is the
-    residue-level lower bound (1 when congruent).
-    """
-    _require_prime(p, 5)
-    rhs_res = 6 * _wp(p) % p
-    if p - 3 <= DEFAULT_EXACT_BOUND:
-        rhs = -2 * bernoulli_exact(p - 3)
-        rep = congruence_report("cor_ijk", p, 1, composition_sum_exact(3, p), rhs, {})
-        if rep.rhs_residue != rhs_res:
-            # The routes disagree: report the quotient route's residue.
-            rep = rep._replace(rhs_residue=rhs_res, verdict=FAIL)
-        return rep
-    m = PrimePower(p, 1)
-    return congruence_report("cor_ijk", p, 1, composition_sum(3, p, m), Residue(rhs_res, m), {})
-
-
-def check_ji_zhoucai(p: int, n_parts: int) -> CongruenceReport:
-    """Arbitrary-length composition sums against Bernoulli numbers.
-
-    Odd n:  sum == -(n-1)! B_{p-n}                   mod p.
-    Even n: sum == -(n! n p / (2(n+1))) B_{p-n-1}    mod p^2.
-    """
-    _require_prime(p, 5)
-    if not 2 <= n_parts <= p - 2:
-        raise PreconditionError(f"requires 2 <= n_parts <= p-2, got {n_parts}")
-    n = n_parts
-    if n % 2:
-        precision = 1
-        rhs = -math.factorial(n - 1) * bernoulli_exact(p - n)
-    else:
-        precision = 2
-        rhs = -Fraction(math.factorial(n) * n * p, 2 * (n + 1)) * bernoulli_exact(p - n - 1)
-    lhs = composition_sum_exact(n, p)
-    return congruence_report("ji_zhoucai", p, precision, lhs, rhs, {"n_parts": n})
+    return parallel_map(fn, items, workers)
 
 
 # --------------------------------------------------------------------------
@@ -361,6 +114,8 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
     Tuples with R > N or r > n, whose right side vanishes, are left out.
     A search whose (p(p-1)/2)^2 tuples cannot repay a pool runs inline.
     """
+    from .parallel import POOL_START_S
+
     _require_prime(p, 7)
     L, h = _h1_over_lcm(p - 1)
     h = [_reduce(Fraction(x, L), p, 2) for x in h]
@@ -373,11 +128,19 @@ def find_exact_quadruples(p: int, workers: int = 1) -> list[QuadrupleHit]:
 # --------------------------------------------------------------------------
 # Claim registry and grid driver
 
+# verify's parameter flags as argparse dests, in help order (a flag the
+# claim does not take is reported in this order); NAME_max bounds NAME.
+# Where only the upper of a constrained pair is bounded (r <= n, R <= N),
+# the lower one's cap falls back to it, and the claim's bounds trim it.
+PARAM_DESTS = ("N", "R", "n", "r", "e", "s", "d", "n_parts", "N_max", "R_max", "n_max", "r_max")
+CAP_FALLBACKS = {"r": "n", "R": "N"}
+
 
 class _ClaimFields(NamedTuple):
     id: str
     params: tuple[str, ...]
-    check: Callable[..., CongruenceReport | tuple[CongruenceReport, ...]]
+    checker: str
+    bounds: str = ""
     domain: Callable[..., bool] | None = None
     reports: tuple[str, ...] = ()
     aliases: tuple[str, ...] = ()
@@ -389,13 +152,14 @@ class _ClaimFields(NamedTuple):
 class Claim(_ClaimFields):
     """One claim: its parameters, checker, grid domain and report ids.
 
-    ``check(p=p, **params)``, plus ``precision`` when one is given (only
-    to a claim that ``takes_precision``; the checker's signature holds the
-    default), returns one report or a tuple; ids outside ``reports`` (default: the
-    id) are rejected.  ``domain(p, **params)`` trims grids; the checkers
-    keep their own, looser, argument checks.  ``min_p`` is the smallest
-    prime the checker takes; a prime range skips those below it.  Verdicts
-    at ``exploratory`` primes are reported but not asserted.
+    ``check``, loaded from ``checker`` ("module.function"), is called as
+    ``check(p, *point)``, plus ``precision`` when one is given (only to a
+    claim that ``takes_precision``), and returns one report or a tuple;
+    ids outside ``reports`` (default: the id) are rejected.  ``bounds``
+    states the grid's domain as loop bounds, chained comparisons such as
+    "R<=N r<=n<p" each bounding its later parameter, and ``domain(p,
+    *point)`` what they cannot.  ``min_p`` is the smallest prime the
+    checker takes.  Verdicts at ``exploratory`` primes are not asserted.
     """
 
     __slots__ = ()
@@ -405,125 +169,189 @@ class Claim(_ClaimFields):
         claim = super().__new__(cls, *args, **kwargs)
         return claim if claim.reports else claim._replace(reports=(claim.id,))
 
+    @property
+    def check(self) -> Callable[..., CongruenceReport | tuple[CongruenceReport, ...]]:
+        module, name = self.checker.split(".")
+        return getattr(_import(f"{__package__}.{module}"), name)
 
-# h12 and genwols look their checkers up at call time, so a rebound
-# module attribute (e.g. an instrumenting wrapper) is honoured.
+    def top(self, name: str, p: int) -> int | None:
+        """The largest value of parameter name that the bounds on p allow, or None."""
+        tops = [p + c - 1 for ref, c in _loops(self)[self.params.index(name)][1] if ref == 1]
+        return min(tops, default=None)
+
+    def points(self, p: int, axes: tuple[range, ...], first=None, last=None) -> Iterator[tuple]:
+        """The domain's points in the product of axes at p, in lexicographic
+        order, from the product's point first on and before its point last."""
+        points = _walk(_loops(self), axes, (0, p), first, last) if axes else iter([()])
+        return points if self.domain is None else (x for x in points if self.domain(p, *x))
+
+
+@functools.cache
+def _loops(claim: Claim) -> tuple[tuple[list, list], ...]:
+    # Per parameter, its lower and its exclusive upper bounds as (ref, c):
+    # env[ref] + c, where env is (0, p, *the earlier parameters' values).
+    refs = {"p": 1, **{name: 2 + i for i, name in enumerate(claim.params)}}
+
+    def term(text: str) -> tuple[int, int]:
+        name, _, minus = text.partition("-")
+        return (0, int(name)) if name.isdigit() else (refs[name], -int(minus or 0))
+
+    loops = tuple(([], []) for _ in claim.params)
+    for chain in claim.bounds.split():
+        parts = chain.split("<")
+        for a, b in zip(parts, parts[1:]):
+            strict = not b.startswith("=")
+            (ra, ca), (rb, cb) = term(a.removeprefix("=")), term(b.removeprefix("="))
+            if ra > rb:  # a < b + 1 - strict
+                loops[ra - 2][1].append((rb, cb - ca + 1 - strict))
+            else:  # b >= a + strict
+                loops[rb - 2][0].append((ra, ca - cb + strict))
+    return loops
+
+
+def _walk(loops, axes, env, first, last) -> Iterator[tuple]:
+    # The points under the prefix env[2:]; first and last hold the rest of a
+    # slab's first point and of the point it stops before, while the prefix
+    # is on their path, else None.
+    i = len(env) - 2
+    lows, highs = loops[i]
+    lo = max([axes[i].start, *[env[ref] + c for ref, c in lows]])
+    hi = min([axes[i].stop, *[env[ref] + c for ref, c in highs]])
+    if first:
+        lo = max(lo, first[0])
+    if last:
+        hi = min(hi, last[0] + (len(last) > 1))
+    if i + 1 == len(axes):
+        prefix = env[2:]
+        for v in range(lo, hi):
+            yield (*prefix, v)
+        return
+    for v in range(lo, hi):
+        yield from _walk(loops, axes, (*env, v), first[1:] if first and v == first[0] else None,
+                         last[1:] if last and v == last[0] else None)
+
+
 CLAIMS = (
-    Claim("wolstenholme", (), check_wolstenholme),
-    Claim("bailey4", ("n", "r"), check_bailey4),
-    Claim("bailey5", ("N", "R", "n", "r"), check_bailey5,
-          lambda p, N, R, n, r: n < p and r < p),
-    Claim("kazandzidis_k1", ("n", "r"), functools.partial(check_kazandzidis, form="K1"),
-          lambda p, n, r: 1 <= r <= n, min_p=3),
-    Claim("kazandzidis_k2", ("n", "r"), functools.partial(check_kazandzidis, form="K2"),
-          lambda p, n, r: 0 <= r <= n, min_p=3),
-    Claim("main_p5", ("n", "r"), check_main, lambda p, n, r: r <= n, aliases=("main",)),
-    Claim("main_exp", ("n", "r", "e"), check_main_exp, lambda p, n, r, e: r <= n),
-    Claim("thm2_case1", ("N", "R", "n", "r"), check_thm2_case1,
-          lambda p, N, R, n, r: R <= N and r <= n < p),
-    Claim("thm2_case2", ("N", "R", "n", "r"), check_thm2_case2,
-          lambda p, N, R, n, r: R <= N and 1 <= n < r < p, exploratory=frozenset({5})),
-    Claim("prop_ijk", (), check_prop_ijk, takes_precision=False, min_p=3),
-    Claim("cor_ijk", (), check_cor_ijk, takes_precision=False),
-    Claim("ji_zhoucai", ("n_parts",), check_ji_zhoucai,
-          lambda p, n_parts: 2 <= n_parts <= p - 2, takes_precision=False),
-    Claim("h12", (), lambda p: h12_checks(p), reports=("h12", "h12p"),
-          aliases=("h12p",), takes_precision=False, min_p=7),
-    Claim("genwols", ("s", "d"), lambda p, s, d: genwols_check(s, d, p),
-          lambda p, s, d: p >= s * d + 3, takes_precision=False),
+    Claim("wolstenholme", (), "harmonic.check_wolstenholme"),
+    Claim("bailey4", ("n", "r"), "checks_binomial.check_bailey4"),
+    Claim("bailey5", ("N", "R", "n", "r"), "checks_binomial.check_bailey5", "n<p r<p"),
+    Claim("kazandzidis_k1", ("n", "r"), "checks_binomial.check_kazandzidis_k1", "1<=r<=n",
+          min_p=3),
+    Claim("kazandzidis_k2", ("n", "r"), "checks_binomial.check_kazandzidis_k2", "0<=r<=n",
+          min_p=3),
+    Claim("main_p5", ("n", "r"), "checks_binomial.check_main", "r<=n", aliases=("main",)),
+    Claim("main_exp", ("n", "r", "e"), "checks_binomial.check_main_exp", "r<=n"),
+    Claim("thm2_case1", ("N", "R", "n", "r"), "checks_binomial.check_thm2_case1",
+          "R<=N r<=n<p r<p"),
+    Claim("thm2_case2", ("N", "R", "n", "r"), "checks_binomial.check_thm2_case2",
+          "R<=N 1<=n<r<p n<p", exploratory=frozenset({5})),
+    Claim("prop_ijk", (), "harmonic.check_prop_ijk", takes_precision=False, min_p=3),
+    Claim("cor_ijk", (), "bernoulli.check_cor_ijk", takes_precision=False),
+    Claim("ji_zhoucai", ("n_parts",), "bernoulli.check_ji_zhoucai", "2<=n_parts<=p-2",
+          takes_precision=False),
+    Claim("h12", (), "harmonic.h12_checks", reports=("h12", "h12p"), aliases=("h12p",),
+          takes_precision=False, min_p=7),
+    Claim("genwols", ("s", "d"), "harmonic.check_genwols",
+          domain=lambda p, s, d: p >= s * d + 3, takes_precision=False),
 )
 
 _CLAIMS_BY_NAME = {name: c for c in CLAIMS for name in (c.id, *c.aliases)}
 
 
 def lookup_claim(name: str) -> Claim:
-    """The registry row for a claim id or alias."""
+    """The registry row for a claim id or alias, with its checker's module loaded."""
     claim = _CLAIMS_BY_NAME.get(name)
     if claim is None:
         raise PreconditionError(f"unknown claim {name!r}")
+    claim.check  # loads the checker's module
     return claim
 
 
-def _claim_for(claim_id: str, precision: int | None) -> Claim:
+def _checker(claim_id: str, precision: int | None) -> tuple[Claim, Callable]:
+    # The claim and its checker, with the precision bound when one is given.
     claim = lookup_claim(claim_id)
-    if precision is not None and not claim.takes_precision:
+    if precision is None:
+        return claim, claim.check
+    if not claim.takes_precision:
         raise PreconditionError(f"claim {claim.id} fixes its own precision; drop the override")
-    return claim
+    return claim, functools.partial(claim.check, precision=precision)
 
 
-def run_check(
-    claim_id: str, p: int, params: dict, precision: int | None = None
-) -> list[CongruenceReport]:
-    """Run one claim instance; h12 yields its two linked reports."""
-    claim = _claim_for(claim_id, precision)
-    kwargs = {} if precision is None else {"precision": precision}
-    out = claim.check(p=p, **params, **kwargs)
-    reports = [out] if isinstance(out, CongruenceReport) else list(out)
+def _reports(claim: Claim, out) -> tuple[CongruenceReport, ...]:
+    reports = (out,) if type(out) is CongruenceReport else tuple(out)
     for rep in reports:
         if rep.claim_id not in claim.reports:
             raise WolstenError(f"claim {claim.id} produced a {rep.claim_id!r} report")
     return reports
 
 
-def _grid_claim(claim_id: str, ranges: dict[str, range], precision: int | None) -> Claim:
-    claim = _claim_for(claim_id, precision)
-    for name in claim.params:
-        if name not in ranges:
-            raise PreconditionError(f"claim {claim.id} needs parameter {name!r}")
-    return claim
-
-
-def grid_reports(
-    claim_id: str,
-    p: int,
-    ranges: dict[str, range],
-    precision: int | None = None,
-    workers: int = 1,
+def run_check(
+    claim_id: str, p: int, params: dict, precision: int | None = None
 ) -> list[CongruenceReport]:
-    """Run a claim over the cartesian product of parameter ranges.
+    """Run one claim instance; h12 yields its two linked reports."""
+    claim, check = _checker(claim_id, precision)
+    return list(_reports(claim, check(p, **params)))
 
-    Tuples violating the claim's domain constraints are skipped, the rest
-    are enumerated in lexicographic order, one task per point; output
-    order is deterministic for any worker count.
+
+def _axes(claim: Claim, ranges: dict[str, range]) -> tuple[range, ...]:
+    for name in claim.params:
+        if name not in ranges or ranges[name].step != 1:
+            raise PreconditionError(f"claim {claim.id} needs parameter {name!r}: a range, step 1")
+    return tuple(ranges[name] for name in claim.params)
+
+
+def grid_reports(claim_id: str, p: int, ranges: dict[str, range], precision: int | None = None,
+                 workers: int = 1) -> list[CongruenceReport]:
+    """Run a claim over the points of a product of parameter ranges in its domain.
+
+    The points are enumerated in lexicographic order, one task per point;
+    output order is deterministic for any worker count.
     """
-    claim = _grid_claim(claim_id, ranges, precision)
-    points = (dict(zip(claim.params, combo))
-              for combo in itertools.product(*(ranges[name] for name in claim.params)))
-    tasks = [params for params in points if claim.domain is None or claim.domain(p, **params)]
+    claim, _ = _checker(claim_id, precision)
+    tasks = [dict(zip(claim.params, point)) for point in claim.points(p, _axes(claim, ranges))]
     check = functools.partial(run_check, claim.id, p, precision=precision)
     return [r for reps in parallel_map(check, tasks, workers) for r in reps]
 
 
+def _point(axes: tuple[range, ...], k: int) -> tuple[int, ...] | None:
+    # The product's point at index k, or None at or past either end.
+    if not 0 < k < math.prod(map(len, axes)):
+        return None
+    point = []
+    for axis in reversed(axes):
+        k, i = divmod(k, len(axis))
+        point.append(axis[i])
+    return tuple(reversed(point))
+
+
 # A slab: the claim, its parameter ranges, the primes it touches, its
-# index range into their points, put end to end from the first prime's,
+# index range into their products, put end to end from the first prime's,
 # and its spill file.  bench/probe.py names this task's span suite.grid_task.
 def _grid_one(slab: tuple) -> tuple[dict[int, int], list[CongruenceReport]]:
     claim_id, primes, axes, precision, fmt, start, stop, path = slab
-    claim = lookup_claim(claim_id)
-    size = math.prod(map(len, axes))
-    counts, failed = {}, []
+    claim, check = _checker(claim_id, precision)
+    size, counts, failed = math.prod(map(len, axes)), {}, []
     with open(path, "w", encoding="utf-8") as fh:
         for at, p in zip(itertools.count(0, size), primes):  # at: p's first point in the stream
-            points = itertools.product(*axes)
-            for combo in itertools.islice(points, max(start - at, 0), min(stop - at, size)):
-                params = dict(zip(claim.params, combo))
-                if claim.domain is not None and not claim.domain(p, **params):
-                    continue
-                reports = run_check(claim.id, p, params, precision)
-                counts[p] = counts.get(p, 0) + len(reports)
-                for rep in reports:
+            lines = 0
+            for point in claim.points(p, axes, _point(axes, start - at), _point(axes, stop - at)):
+                for rep in _reports(claim, check(p, *point)):
                     fh.write(encode_report(rep, fmt))
-                    if not rep.ok:
+                    lines += 1
+                    if rep.verdict != PASS:
                         failed.append(rep)
+            if lines:
+                counts[p] = lines
     return counts, failed
 
 
-# A few slabs per worker balance uneven ones.  Every slab's checks, at
-# 16 us for the cheapest claims (a bailey5 check), outweigh the pool's
-# start; a stream under two slabs' minimum is one slab, which parallel_map
-# runs inline.
+# A few slabs per worker balance uneven ones.  A slab holds at least the
+# pool's start (0.08 s) over 16 us of points, the cost of a bailey5 check,
+# the cheapest, when this rule was set; it is now about 9 us, but at 5000
+# points the benchmark's bailey5 grid still runs as 6 slabs on 2 workers.
+# A stream under two slabs' minimum is one slab, which runs inline.
 _SLABS_PER_WORKER = 4
-_SLAB_MIN = round(POOL_START_S / 16e-6)
+_SLAB_MIN = 5000
 
 
 def grid_blocks(
@@ -532,15 +360,16 @@ def grid_blocks(
 ) -> list[tuple[str, dict[int, int], list[CongruenceReport]]]:
     """grid_reports' checks at each of primes as (spill file, lines per prime, failed reports).
 
-    The primes' points, end to end, are cut into contiguous slabs; a
-    worker checks a slab's points in the domain and writes their lines in
-    fmt ("json" or "csv") to the slab's file in the directory spill.  The
-    files in the order returned hold the lines of grid_reports' reports at
-    each prime.  The stream's first point that raises names the error, on
-    any worker count: parallel_map returns, and so raises, in slab order.
+    The primes' products of ranges, end to end, are cut into contiguous
+    slabs; a worker checks a slab's points in the domain and writes their
+    lines in fmt ("json" or "csv") to the slab's file in the directory
+    spill.  The files in the order returned hold the lines of
+    grid_reports' reports at each prime.  The stream's first point that
+    raises names the error, on any worker count: parallel_map returns,
+    and so raises, in slab order.
     """
-    claim = _grid_claim(claim_id, ranges, precision)
-    axes = tuple(ranges[name] for name in claim.params)
+    claim, _ = _checker(claim_id, precision)
+    axes = _axes(claim, ranges)
     size = math.prod(map(len, axes))
     total = size * len(primes)
     count = max(min(_SLABS_PER_WORKER * workers, total // _SLAB_MIN), 1)  # each >= _SLAB_MIN

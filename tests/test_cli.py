@@ -1,4 +1,6 @@
+import argparse
 import ast
+import itertools
 import hashlib
 import importlib
 import json
@@ -12,11 +14,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import grid_domain_reference as reference
 import pytest
 
-from wolsten import bernoulli, cli, parallel, report, suite
+from wolsten import bernoulli, checks_binomial, cli, parallel, report, suite
 from wolsten.cli import main
-from wolsten.errors import BudgetExceededError
+from wolsten.errors import BudgetExceededError, WolstenError
 from wolsten.parallel import parallel_map
 from wolsten.report import encode_report
 from wolsten.suite import check_main
@@ -272,14 +275,14 @@ class TestVerifyUsageErrors:
         The pool is shut down on both sides, so its workers fork with this
         patch and none outlives it.
         """
-        binom_mod = suite.binom_mod
+        binom_mod = checks_binomial.binom_mod
 
         def refuse(a, b, m):
             if m.p == 89 and a >= 3 * 89**3:
                 raise BudgetExceededError(f"binom({a}, {b}) refused")
             return binom_mod(a, b, m)
 
-        monkeypatch.setattr(suite, "binom_mod", refuse)
+        monkeypatch.setattr(checks_binomial, "binom_mod", refuse)
         parallel._shutdown_pool()
         yield
         parallel._shutdown_pool()
@@ -403,6 +406,38 @@ class TestVerifyUsageErrors:
         code = run_cli("verify", "--claim", "thm2_case2", "--p", "7",
                        "--N", "1", "--R", "0", "--n", "3", "--r", "3")
         assert code == 2
+
+
+class TestParamRanges:
+    # Flag sets: none, grids, caps past p and past the grid bound, scalars
+    # (some with a cap on their pair's other member), and flags a claim
+    # does not take.
+    _FLAG_SETS = [
+        {}, {"n_max": 12}, {"N_max": 6, "n_max": 12}, {"r_max": 5},
+        {"N_max": 3, "R_max": 1, "n_max": 20, "r_max": 3}, {"N_max": 2, "n_max": 2000},
+        {"n": 4, "r": 1}, {"N": 2, "R": 1, "n": 3, "r": 1}, {"n": 4, "r_max": 30},
+        {"N": 2, "R_max": 3, "n_max": 20}, {"R_max": 2, "N": 3, "n_max": 8},
+        {"n_max": 4, "e": 2}, {"n": 2, "r": 1, "e": 3}, {"s": 1, "d": 3}, {"s": 2}, {"n_parts": 4},
+        {"N_max": 100000, "n_max": 6}, {"N_max": 30, "n_max": 1000}, {"n_max": 3, "N": 4},
+    ]
+
+    @pytest.mark.parametrize("claim", suite.CLAIMS, ids=lambda c: c.id)
+    def test_ranges_are_the_parents(self, claim):
+        # cli._param_ranges reads the cap rules from the registry; the
+        # reference keeps them in the CLI, keyed by claim id.
+        cli._load("suite")
+        seen = set()
+        for flags, p_top in itertools.product(self._FLAG_SETS, (5, 7, 13, 101)):
+            args = argparse.Namespace(**{dest: flags.get(dest) for dest in suite.PARAM_DESTS})
+            outcomes = []
+            for param_ranges in (cli._param_ranges, reference.param_ranges):
+                try:
+                    outcomes.append(param_ranges(claim, args, p_top))
+                except WolstenError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (flags, p_top)
+            seen.add(type(outcomes[0]))
+        assert seen == {dict, str}
 
 
 class TestUnwritableOutput:
@@ -699,6 +734,18 @@ class TestAdHoc:
             assert out == "" and err == (
                 f"error: composition '1^{count}': token '1^{count}' takes the depth past 1000000\n")
 
+    @pytest.mark.parametrize("text, token", [
+        ("1" * 5000, "1" * 5000), ("2,1000000", "1000000"), ("1,0001000001^2", "0001000001^2"),
+    ])
+    def test_mhs_part_past_the_bound_exits_two(self, text, token, capsys):
+        # A part of 10^6 or more is refused by its digits, before int()
+        # reads it: 5000 digits are past str()'s limit.
+        for mod in ((), ("--mod", "7^1")):
+            assert run_cli("mhs", "--s", text, "--n", "1", *mod) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: composition {text!r}: token {token!r} has a part of 10^6 or more\n")
+
     def test_bernoulli(self, capsys):
         assert run_cli("bernoulli", "--k", "12") == 0
         assert "-691/2730" in capsys.readouterr().out
@@ -947,6 +994,18 @@ class TestHugeExactValues:
         assert run_cli("report", "--in", str(js)) == 0
         assert "1/1 pass" in capsys.readouterr().out
 
+    def test_thm2_case1_c_past_4300_digits_is_null(self, tmp_path, capsys):
+        # c's numerator has more than 4300 digits here: c is written as null,
+        # like a long exact value, where str() would raise.
+        out = tmp_path / "c.json"
+        argv = ("--claim", "thm2_case1", "--p", "10007", "--N", "2", "--R", "1", "--n", "10005",
+                "--r", "5003")
+        assert run_cli("verify", *argv, "--out", str(out)) == 0
+        text = out.read_text()
+        assert '"params":{"N":2,"R":1,"c":null,"n":10005,"r":5003}' in text
+        assert json.loads(text)["verdict"] == "pass"
+        assert capsys.readouterr().out == "thm2_case1: 1/1 pass\n"
+
     def test_the_bound_is_4300_digits_under_any_limit(self):
         below, at = 10**4300 - 1, 10**4300
         old = sys.get_int_max_str_digits()
@@ -1161,11 +1220,21 @@ class TestImports:
             "wolsten", "wolsten.errors", "wolsten.harmonic", "wolsten.padic"}
 
     @pytest.mark.parametrize("argv, absent", [
-        (("bernoulli", "--k", "10"), {"suite", "binomial", "kernel"}),
-        (("bernoulli", "--k", "10", "--mod", "7^2"), {"suite", "binomial", "kernel"}),
+        (("bernoulli", "--k", "10"), {"suite", "binomial", "kernel", "parallel", "report"}),
+        (("bernoulli", "--k", "10", "--mod", "7^2"),
+         {"suite", "binomial", "kernel", "parallel", "report"}),
         (("scan", "--pmax", "30", "--workers", "1"), {"suite", "binomial"}),
         (("verify", "--claim", "h12", "--p", "7"), {"kernel"}),
         (("search", "--p", "7", "--workers", "1"), {"kernel"}),
+        # A claim loads its own checker module only.
+        (("verify", "--claim", "bailey5", "--p", "13", "--N-max", "1", "--n-max", "2"),
+         {"harmonic", "bernoulli", "kernel"}),
+        (("verify", "--claim", "genwols", "--p", "11", "--s", "1", "--d", "1", "--workers", "1"),
+         {"binomial", "bernoulli", "parallel", "checks_binomial", "kernel"}),
+        (("verify", "--claim", "h12", "--p", "7", "--workers", "2"),
+         {"binomial", "bernoulli", "parallel", "checks_binomial", "kernel"}),
+        (("verify", "--claim", "cor_ijk", "--p", "7"), {"binomial", "checks_binomial", "kernel"}),
+        (("search", "--p", "7"), {"binomial", "checks_binomial", "kernel"}),
     ])
     def test_command_skips_modules_it_does_not_run(self, argv, absent):
         assert not self._loaded(*argv) & absent

@@ -14,8 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wolsten.cli import _PARAM_DESTS, main  # noqa: E402
-from wolsten.suite import CLAIMS  # noqa: E402
+from wolsten.cli import main  # noqa: E402
+from wolsten.suite import CLAIMS, PARAM_DESTS  # noqa: E402
 
 SMALL = st.one_of(st.integers(0, 4), st.integers(-2, 4))
 PRIME_ISH = st.one_of(st.sampled_from([5, 7, 11, 13]), st.integers(-3, 14))
@@ -35,12 +35,12 @@ def verify_argv(draw):
     # Mostly the claim's own parameters, scalar or as a grid bound; now
     # and then one missing, or a flag the claim does not take.
     flags = [
-        draw(st.sampled_from([param, f"{param}_max"] if f"{param}_max" in _PARAM_DESTS else [param]))
+        draw(st.sampled_from([param, f"{param}_max"] if f"{param}_max" in PARAM_DESTS else [param]))
         for param in claim.params
         if draw(st.integers(0, 9))
     ]
     if draw(st.integers(0, 9)) == 0:
-        flags.append(draw(st.sampled_from(_PARAM_DESTS)))
+        flags.append(draw(st.sampled_from(PARAM_DESTS)))
     for dest in dict.fromkeys(flags):
         argv += [f"--{dest.replace('_', '-')}", str(draw(SMALL))]
     if draw(st.integers(0, 3)) == 0:

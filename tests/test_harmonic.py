@@ -57,6 +57,17 @@ class TestComposition:
         assert Composition.parse("2,1^999999").depth == 10**6
         assert Composition.parse("1^0003").parts == (1, 1, 1)
 
+    @pytest.mark.parametrize("text, token", [
+        ("1" * 5000, "1" * 5000), ("2,1000000", "1000000"), ("0" * 5000 + "10000000^2", None),
+    ])
+    def test_parse_refuses_a_part_past_the_bound(self, text, token):
+        # By the part's digits, before int() reads it (5000 digits are past
+        # str()'s limit); leading zeros do not count.
+        token = text if token is None else token
+        with pytest.raises(PreconditionError, match=f"token {re.escape(repr(token))} has a part of 10\\^6 or more$"):
+            Composition.parse(text)
+        assert Composition.parse("999999,0001," + "0" * 5000 + "2").parts == (999999, 1, 2)
+
     def test_depth_weight(self):
         c = Composition.of(3, 1, 4)
         assert c.depth == 3 and c.weight == 8

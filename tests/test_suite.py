@@ -8,9 +8,10 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import grid_domain_reference as reference
 import pytest
 
-from wolsten import padic, suite
+from wolsten import bernoulli, checks_binomial, padic, suite
 from wolsten.bernoulli import bernoulli_exact
 from wolsten.binomial import binom, binom_mod
 from wolsten.errors import (
@@ -360,7 +361,9 @@ class TestSection4:
 
     def test_cor_routes_disagree(self, monkeypatch):
         w = suite._wp(7)
-        monkeypatch.setattr(suite, "_wp", lambda p: w + 1)
+        quotient = bernoulli.wolstenholme_quotient
+        monkeypatch.setattr(bernoulli, "wolstenholme_quotient",
+                            lambda p: quotient(p)._replace(value=quotient(p).value + 1))
         rep = check_cor_ijk(7)
         # The exact route alone clears mod 7; the quotient route disagrees.
         assert rep.verdict == "fail" and rep.diff_valuation == 1
@@ -476,8 +479,8 @@ class TestQuadrupleSearch:
         def refuse(*args, **kwargs):
             raise AssertionError("the search computed a binomial")
 
-        monkeypatch.setattr(suite, "binom_mod", refuse)
-        monkeypatch.setattr(suite, "check_bailey5", refuse)
+        monkeypatch.setattr(checks_binomial, "binom_mod", refuse)
+        monkeypatch.setattr(checks_binomial, "check_bailey5", refuse)
         assert [(h.N, h.R, h.n, h.r) for h in find_exact_quadruples(13)] == oracle
 
     def test_workers_do_not_change_output(self):
@@ -635,7 +638,7 @@ class TestDispatchAndGrids:
         monkeypatch.setattr(padic, "is_prime", counted)
         monkeypatch.setattr(suite, "is_prime", counted)
         suite._require_prime.cache_clear()
-        suite._prime_power.cache_clear()
+        checks_binomial._prime_power.cache_clear()
         ranges = {"N": range(3), "R": range(3), "n": range(13), "r": range(13)}
         blocks = suite.grid_blocks("bailey5", [13, 17, 19, 23], ranges, tmp_path)
         assert sum(sum(counts.values()) for _, counts, _ in blocks) == 6084
@@ -728,7 +731,9 @@ class TestRegistry:
     def test_row(self, claim):
         p, params, jsonl = _INSTANCES[claim.id]
         assert tuple(params) == claim.params
-        assert claim.domain is None or claim.domain(p, **params)
+        point = tuple(params.values())
+        assert list(claim.points(p, tuple(range(v, v + 1) for v in point))) == [point]
+        assert claim.domain is None or claim.domain(p, *point)
         reports = run_check(claim.id, p, params)
         assert [r.claim_id for r in reports] == list(claim.reports)
         assert reports_to_jsonl(reports) == jsonl
@@ -753,6 +758,64 @@ class TestRegistry:
         listed = set(re.findall(r"`([a-z0-9_]+)`", paragraph))
         for claim in CLAIMS:
             assert {claim.id, *claim.aliases} <= listed, claim.id
+
+
+class TestDomainBounds:
+    """The registry's loop bounds against the old product-and-filter enumeration."""
+
+    # Parameter ranges as the CLI builds them: caps past p, scalars (some
+    # negative, some out of the domain) and ranges that start above 0.
+    _GRIDS = [
+        {"N": range(7), "R": range(7), "n": range(13), "r": range(13), "e": range(1, 3),
+         "n_parts": range(14), "s": range(4), "d": range(4)},
+        {"N": range(2, 3), "R": range(4), "n": range(21), "r": range(4, 5), "e": range(2, 3),
+         "n_parts": range(5, 6), "s": range(1, 2), "d": range(3, 4)},
+        {"N": range(2), "R": range(1, 2), "n": range(-1, 0), "r": range(-1, 9), "e": range(0, 1),
+         "n_parts": range(2, 3), "s": range(-1, 0), "d": range(-5, -4)},
+        {"N": range(3, 4), "R": range(3, 4), "n": range(6, 7), "r": range(5, 6), "e": range(1, 2),
+         "n_parts": range(3, 4), "s": range(2, 3), "d": range(2, 3)},
+    ]
+
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
+    def test_same_points_in_the_same_order(self, claim):
+        for p, grid in itertools.product((3, 5, 7, 11, 13), self._GRIDS):
+            ranges = {name: grid[name] for name in claim.params}
+            axes = tuple(ranges[name] for name in claim.params)
+            expected = [point for _, point in reference.indexed_points(claim, p, ranges)]
+            assert list(claim.points(p, axes)) == expected, (p, ranges)
+
+    def test_thm2_grids_build_only_their_domain(self):
+        # The benchmark's thm2 grids: 24843 points of the products at p = 7, 11
+        # and 13, of which 5180 (case 1) and 3528 (case 2) are in the domain.
+        axes = (range(7), range(7), range(13), range(13))
+        for claim_id, size in (("thm2_case1", 5180), ("thm2_case2", 3528)):
+            claim = lookup_claim(claim_id)
+            assert sum(len(list(claim.points(p, axes))) for p in (7, 11, 13)) == size
+
+    @pytest.mark.parametrize("claim", [c for c in CLAIMS if c.params], ids=lambda c: c.id)
+    def test_a_slab_visits_its_part_of_the_product(self, claim):
+        # A slab's points at a prime are those of the product's index range
+        # [a, b) in the domain; cuts fall inside rows, at their ends and
+        # past the product's ends.
+        rng = random.Random(claim.id)
+        for p, grid in itertools.product((5, 7, 13), self._GRIDS[:2]):
+            ranges = {name: grid[name] for name in claim.params}
+            axes = tuple(ranges[name] for name in claim.params)
+            indexed = reference.indexed_points(claim, p, ranges)
+            size = math.prod(map(len, axes))
+            cuts = {0, 1, size - 1, size, *(rng.randrange(size + 1) for _ in range(12))}
+            for a, b in itertools.combinations(sorted(cuts), 2):
+                got = list(claim.points(p, axes, suite._point(axes, a), suite._point(axes, b)))
+                assert got == [point for i, point in indexed if a <= i < b], (p, ranges, a, b)
+
+    def test_bounds_name_each_later_parameter(self):
+        # (lower bounds, exclusive upper bounds) per parameter, each as
+        # (ref, c) for env[ref] + c, env = (0, p, *earlier parameters).
+        assert suite._loops(lookup_claim("thm2_case2")) == (
+            ([], []), ([], [(2, 1)]), ([(0, 1)], [(1, 0)]), ([(4, 1)], [(1, 0)]))
+        assert suite._loops(lookup_claim("ji_zhoucai")) == (([(0, 2)], [(1, -1)]),)
+        assert [lookup_claim("thm2_case1").top(name, 13) for name in ("N", "R", "n", "r")] == [
+            None, None, 12, 12]
 
 
 class TestCongruenceEngine:
@@ -792,7 +855,7 @@ class TestCongruenceEngine:
         def refuse(a, b, m):
             raise BudgetExceededError(f"binom({a}, {b}) refused")
 
-        monkeypatch.setattr(suite, "binom_mod", refuse)
+        monkeypatch.setattr(checks_binomial, "binom_mod", refuse)
         with pytest.raises(
             BudgetExceededError,
             match=r"^bailey5 p=89 \{'N': 6, 'R': 3, 'n': 5, 'r': 2\}: binom\(4229819, 2114909\) refused$",
@@ -866,12 +929,13 @@ class TestRatioSide:
 
     def test_modular_side_matches_exact_side(self, monkeypatch):
         combs: dict = {}
-        monkeypatch.setattr(suite, "binom", lambda a, b: combs[a, b] if (a, b) in combs else binom(a, b))
+        monkeypatch.setattr(checks_binomial, "binom",
+                            lambda a, b: combs[a, b] if (a, b) in combs else binom(a, b))
         modular = 0
         for check, args, a, b in self.cases(combs):
-            monkeypatch.setattr(suite, "_EXACT_ARG_LIMIT", math.inf)
+            monkeypatch.setattr(checks_binomial, "_EXACT_ARG_LIMIT", math.inf)
             exact = check(*args)
-            monkeypatch.setattr(suite, "_EXACT_ARG_LIMIT", 0)
+            monkeypatch.setattr(checks_binomial, "_EXACT_ARG_LIMIT", 0)
             if not 2 <= b <= a - 2:  # binomials 0, 1 and a stay exact
                 assert check(*args) == exact, args
                 continue
@@ -887,12 +951,26 @@ class TestRatioSide:
             modular += 1
         assert modular == 7468
 
+    def test_exact_binomials_step_from_recent_ones(self, monkeypatch):
+        # A thm2 grid's rows at p = 7 (b + 1 along a row, a + 1 at a row's
+        # start), then the edges b = 0, b = a, b > a (binom(8, 9) = 0 is no
+        # step to binom(9, 9)) and a jump: every value is math.comb's, and a
+        # row of the grid costs no math.comb.
+        combs = []
+        monkeypatch.setattr(checks_binomial, "binom", lambda a, b: combs.append((a, b)) or binom(a, b))
+        checks_binomial._near.clear()
+        grid = [(4 * 343 + n, 2 * 343 + r) for n in range(7) for r in range(n + 1)]
+        edges = [(5, 0), (6, 0), (6, 6), (7, 6), (7, 7), (7, 8), (7, 9), (8, 9), (9, 9), (1900, 3)]
+        for a, b in grid + edges:
+            assert checks_binomial._exact_binom(a, b) == math.comb(a, b), (a, b)
+        assert combs == [grid[0], (5, 0), (6, 6), (8, 9), (9, 9), (1900, 3)]
+
     def test_large_arguments_take_the_modular_side(self):
         assert check_main(401, 8, 3).lhs_exact is None
         assert check_main(211, 8, 3).lhs_exact is not None  # 8 * 211 <= 2000
 
     def test_a_side_that_is_not_p_integral_raises(self):
-        side = suite._binom_side(7, 4000, 100, 7**10)
+        side = checks_binomial._binom_side(7, 4000, 100, 7**10)
         with pytest.raises(NonIntegralError, match="divisible by 7"):
             side(5)
 
@@ -921,10 +999,10 @@ class TestRatioSide:
             except NonIntegralError as exc:
                 return str(exc)
 
-        monkeypatch.setattr(suite, "_EXACT_ARG_LIMIT", 0)
+        monkeypatch.setattr(checks_binomial, "_EXACT_ARG_LIMIT", 0)
         seen = collections.Counter()
         for claim, p, a, b, den in self._divisible_den_cases():
-            side = suite._binom_side(p, a, b, den)
+            side = checks_binomial._binom_side(p, a, b, den)
             if not callable(side):  # binomials 0, 1 and a stay exact
                 continue
             v = valuation(den, p)
@@ -1016,7 +1094,6 @@ class TestReportSerialization:
     def test_unknown_claim_id_rejected(self, monkeypatch):
         # run_check accepts only the report ids of the claim's registry row
         rep = check_main(7, 2, 1)
-        row = lookup_claim("bailey4")._replace(check=lambda p, n, r, precision=3: rep)
-        monkeypatch.setitem(suite._CLAIMS_BY_NAME, "bailey4", row)
+        monkeypatch.setattr(checks_binomial, "check_bailey4", lambda p, n, r, precision=3: rep)
         with pytest.raises(WolstenError, match="bailey4 produced a 'main_p5' report"):
             run_check("bailey4", 7, {"n": 2, "r": 1})
