@@ -144,8 +144,8 @@ _GRID_LIMIT = 10**6  # grid points per prime, counted from the ranges: a minute 
 # H(s;n) 0.7 to 2.4 s where n times the weight of s is 40000, B_3000 3.9 s.
 _MHS_NW_MAX = 40_000
 _BERNOULLI_K_MAX = 3_000
-# A residue H(s;n) mod p^k costs n * depth steps and about 130 bytes per n:
-# 1.6 s and 131 MiB for H(1;10^6), 3.2 s for H(3;10^6) mod p^3.
+# A residue H(s;n) mod p^k costs n * depth steps in memory that does not
+# grow with n: 0.9 s for H(1;10^6), 1.5 s for H(3;10^6) mod p^3, 16 MiB.
 _MHS_ND_MAX = 10**6
 
 

@@ -157,12 +157,17 @@ def mhs_exact(s: Composition, n: int) -> Fraction:
     return Fraction(rows[-1], big_l ** s.weight)
 
 
+# mhs_mod inverts this many denominators at a time: one modular inverse per
+# batch, and a few hundred KB of residues however large n is.
+_INVERSE_BATCH = 4096
+
+
 def mhs_mod(s: Composition, n: int, m: PrimePower) -> Residue:
     """H(s; n) reduced modulo p^k, computed in residue arithmetic.
 
     Requires n < p so every denominator 1..n is invertible.  Agrees with
-    reduce_mod(mhs_exact(s, n), m) and costs O(n * depth) after one batch
-    inversion of 1..n.
+    reduce_mod(mhs_exact(s, n), m) and costs O(n * depth), inverting 1..n
+    in batches of _INVERSE_BATCH, so its memory does not grow with n.
     """
     if n >= m.p:
         raise PreconditionError(f"n={n} must be < p={m.p} for modular evaluation")
@@ -172,14 +177,14 @@ def mhs_mod(s: Composition, n: int, m: PrimePower) -> Residue:
     d = s.depth
     if n < d:
         return Residue(0, m)
-    inv = _batch_inverse_ints(list(range(1, n + 1)), q, m.p)
+    # Every row steps at every denominator: rows[j - 1] stays 0 until the
+    # (j - 1)-th, so the early steps of the high rows add nothing.
+    steps = [(j, s.parts[j - 1]) for j in range(d, 0, -1)]
     rows = [1] + [0] * d
-    for i in range(n):
-        v = inv[i]
-        for j in range(min(d, i + 1), 0, -1):
-            e = s.parts[j - 1]
-            t = v if e == 1 else pow(v, e, q)
-            rows[j] = (rows[j] + rows[j - 1] * t) % q
+    for lo in range(1, n + 1, _INVERSE_BATCH):
+        for v in _batch_inverse_ints(range(lo, min(lo + _INVERSE_BATCH, n + 1)), q, m.p):
+            for j, e in steps:
+                rows[j] = (rows[j] + rows[j - 1] * (v if e == 1 else pow(v, e, q))) % q
     return Residue(rows[d], m)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import NonIntegralError, NotInvertibleError, PreconditionError
 
@@ -191,7 +191,7 @@ def batch_inverse(values: list[Residue]) -> list[Residue]:
     return [Residue(r, m) for r in raw]
 
 
-def _batch_inverse_ints(values: list[int], q: int, p: int) -> list[int]:
+def _batch_inverse_ints(values: Sequence[int], q: int, p: int) -> list[int]:
     # Montgomery's trick: prefix products, one inversion, back-substitution.
     n = len(values)
     prefix = [0] * n

@@ -81,9 +81,9 @@ class CongruenceReport(NamedTuple):
         return _exact_text(self.lhs_exact), _exact_text(self.rhs_exact), "inf" if dv == math.inf else int(dv)
 
     def csv_row(self) -> list:
-        """The cells under CSV_COLUMNS; a missing exact value is ""."""
+        """The cells under CSV_COLUMNS; a missing exact value or param is ""."""
         lhs, rhs, dv = self._texts()
-        params = ";".join(f"{k}={self.params[k]}" for k in sorted(self.params))
+        params = ";".join(f"{k}={'' if v is None else v}" for k, v in sorted(self.params.items()))
         return [self.claim_id, self.p, params, self.precision, lhs or "", self.lhs_residue,
                 rhs or "", self.rhs_residue, dv, self.verdict]
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import grid_domain_reference as reference
 import pytest
 
-from wolsten import bernoulli, checks_binomial, cli, parallel, report, suite
+from wolsten import bernoulli, checks_binomial, cli, report, suite
 from wolsten.cli import main
 from wolsten.errors import BudgetExceededError, WolstenError
 from wolsten.parallel import parallel_map
@@ -270,11 +270,8 @@ class TestVerifyUsageErrors:
 
     @pytest.fixture
     def refuse_from_n3_at_89(self, monkeypatch):
-        """binom_mod refuses p = 89's arguments from 3 * 89^3 on, in workers too.
-
-        The pool is shut down on both sides, so its workers fork with this
-        patch and none outlives it.
-        """
+        """binom_mod refuses p = 89's arguments from 3 * 89^3 on, in workers too:
+        each run's pool forks its workers after this patch."""
         binom_mod = checks_binomial.binom_mod
 
         def refuse(a, b, m):
@@ -283,9 +280,6 @@ class TestVerifyUsageErrors:
             return binom_mod(a, b, m)
 
         monkeypatch.setattr(checks_binomial, "binom_mod", refuse)
-        parallel._shutdown_pool()
-        yield
-        parallel._shutdown_pool()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_error_names_the_check(self, workers, refuse_from_n3_at_89, monkeypatch,
@@ -857,6 +851,24 @@ class TestAdHoc:
         assert proc.stderr == ("error: --n 100000000: the modular sum takes n * 1 up to "
                                "1000000\n")
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs procfs")
+    def test_w_p_memory_does_not_grow_with_p(self):
+        # w_p at p = 200003 sums 200002 inverses mod p^4; held all at once
+        # they took 45 MiB, in batches the whole process stays near 16 MiB.
+        # VmHWM, unlike ru_maxrss, does not count the forking test process.
+        script = (
+            "from wolsten.cli import main\n"
+            "code = main(['verify', '--claim', 'main', '--p', '200003', '--n', '2', '--r', '1'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(code, *[line.split()[1] for line in fh if line.startswith('VmHWM:')])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kib = map(int, proc.stdout.split()[-2:])
+        assert code == 0
+        assert peak_kib < 30 * 1024
+
     def test_mhs_mod_bound_counts_depth(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "mhs_mod", lambda *a: "ok")
         assert run_cli("mhs", "--s", "1,1", "--n", "500000", "--mod", "500009^1") == 0
@@ -996,8 +1008,9 @@ class TestHugeExactValues:
 
     def test_thm2_case1_c_past_4300_digits_is_null(self, tmp_path, capsys):
         # c's numerator has more than 4300 digits here: c is written as null,
-        # like a long exact value, where str() would raise.
-        out = tmp_path / "c.json"
+        # like a long exact value, where str() would raise, and as an empty
+        # value in CSV.
+        out, csv_out = tmp_path / "c.json", tmp_path / "c.csv"
         argv = ("--claim", "thm2_case1", "--p", "10007", "--N", "2", "--R", "1", "--n", "10005",
                 "--r", "5003")
         assert run_cli("verify", *argv, "--out", str(out)) == 0
@@ -1005,6 +1018,9 @@ class TestHugeExactValues:
         assert '"params":{"N":2,"R":1,"c":null,"n":10005,"r":5003}' in text
         assert json.loads(text)["verdict"] == "pass"
         assert capsys.readouterr().out == "thm2_case1: 1/1 pass\n"
+        assert run_cli("verify", *argv, "--out", str(csv_out), "--format", "csv") == 0
+        assert csv_out.read_text().splitlines()[1].startswith(
+            "thm2_case1,10007,N=2;R=1;c=;n=10005;r=5003,5,,")
 
     def test_the_bound_is_4300_digits_under_any_limit(self):
         below, at = 10**4300 - 1, 10**4300

@@ -202,6 +202,15 @@ class TestMhsMod:
                 for n in range(0, min(30, m.p - 1) + 1):
                     assert mhs_mod(c, n, m) == reduce_mod(mhs_exact(c, n), m)
 
+    def test_batches_meet_at_their_edges(self, monkeypatch):
+        # Batches of 4 denominators: n from 0 to p - 1 = 28 ends before, on
+        # and after each batch edge.
+        monkeypatch.setattr(harmonic, "_INVERSE_BATCH", 4)
+        m = PrimePower(29, 3)
+        for c in (Composition.of(1), Composition.of(2, 1), Composition.of(1, 1, 3)):
+            for n in range(m.p):
+                assert mhs_mod(c, n, m) == reduce_mod(mhs_exact(c, n), m), (c, n)
+
 
 class TestShuffle:
     def test_examples(self):

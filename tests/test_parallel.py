@@ -45,12 +45,15 @@ class TestParallelMap:
         assert parallel_map(str, [5], 2) == ["5"]
 
     @pytest.mark.skipif(parallel._usable_cpus() < 2, reason="needs two usable CPUs")
-    def test_one_pool_serves_every_call(self):
-        first = set(parallel_map(_pid, range(500), 2))
-        second = set(parallel_map(_pid, range(500), 2))
-        assert os.getpid() not in first
-        assert len(first) <= 2
-        assert second <= first
+    def test_no_worker_outlives_a_call(self, tmp_path):
+        # Each call starts its own pool and stops it before it returns or
+        # raises, so no worker process is left behind either way.
+        pids = set(parallel_map(_pid, range(500), 2))
+        assert os.getpid() not in pids and len(pids) <= 2
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="first item"):
+            parallel_map(_fail_first_or_mark, [(i, str(tmp_path)) for i in range(4)], 2)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(parallel._usable_cpus() < 2, reason="needs two usable CPUs")
     def test_a_failing_call_leaves_no_task_running(self, tmp_path):
@@ -62,7 +65,7 @@ class TestParallelMap:
         assert "1" in done
         time.sleep(0.5)
         assert sorted(p.name for p in tmp_path.iterdir()) == done
-        assert parallel_map(str, range(3), 2) == ["0", "1", "2"]  # a fresh pool
+        assert parallel_map(str, range(3), 2) == ["0", "1", "2"]
 
     @pytest.mark.skipif(
         parallel._usable_cpus() < 2 or "forkserver" not in multiprocessing.get_all_start_methods(),

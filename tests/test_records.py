@@ -112,7 +112,7 @@ def _json_oracle(r: CongruenceReport) -> str:
 def _csv_oracle(r: CongruenceReport) -> str:
     o = r.to_obj()
     lhs, rhs = o["lhs"], o["rhs"]
-    params = ";".join(f"{k}={v}" for k, v in o["params"].items())
+    params = ";".join(f"{k}={'' if v is None else v}" for k, v in o["params"].items())
     return _csv_writer().writerow([o["claim_id"], o["p"], params, o["precision"], lhs["exact"] or "",
                                    lhs["residue"], rhs["exact"] or "", rhs["residue"],
                                    o["diff_valuation"], o["verdict"]])

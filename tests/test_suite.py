@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from wolsten import bernoulli, checks_binomial, padic, suite
 from wolsten.bernoulli import bernoulli_exact
-from wolsten.binomial import binom, binom_mod
+from wolsten.binomial import binom, binom_mod, ratio, rising_binom
 from wolsten.errors import (
     BudgetExceededError,
     NonIntegralError,
@@ -169,6 +170,43 @@ class TestKazandzidis:
     def test_k1_zero_denominator(self):
         with pytest.raises(ZeroDenominatorError):
             check_kazandzidis(5, 0, 2, form="K1")
+
+    def test_k1_side_equals_the_rising_products(self):
+        # The side comes from binomials, not from the rising products;
+        # between n = 1 - r and n = 0 both products vanish.
+        for p in (3, 5, 7, 11):
+            for n in range(-12, 13):
+                for r in range(1, 7):
+                    try:
+                        want = ratio(rising_binom(n * p, r * p), rising_binom(n, r))
+                    except ZeroDenominatorError:
+                        with pytest.raises(ZeroDenominatorError, match="ratio 0/0"):
+                            checks_binomial._rising_ratio(p, n, r)
+                        continue
+                    assert checks_binomial._rising_ratio(p, n, r) == want, (p, n, r)
+
+    def test_k1_past_its_exact_bound_writes_the_same_line(self, monkeypatch):
+        # The value has about 5000 digits, so its exact text is null either
+        # way; the residues give the same valuation and verdict.
+        exact = check_kazandzidis(1009, 12, 6, form="K1")
+        monkeypatch.setattr(checks_binomial, "_K1_EXACT_DIGITS", 1000)
+        by_residues = check_kazandzidis(1009, 12, 6, form="K1")
+        assert exact.lhs_exact is not None and by_residues.lhs_exact is None
+        assert encode_report(by_residues) == encode_report(exact)
+        assert encode_report(by_residues, "csv") == encode_report(exact, "csv")
+
+    def test_k1_with_a_huge_n_stays_exact(self):
+        # a = 5 (10^400 + 1) - 1 is past a float; binom(a, 5) is not large.
+        n = 10**400
+        rep = check_kazandzidis(5, n, 1, form="K1")
+        assert rep.lhs_exact == Fraction(binom(5 * n + 4, 5), n) and rep.ok
+
+    def test_k1_at_the_domain_edge_is_quick(self):
+        # n = p - 2, r = p // 2 at p = 997: the rising products took minutes.
+        start = time.perf_counter()
+        rep = check_kazandzidis(997, 995, 498, form="K1")
+        assert time.perf_counter() - start < 1.0
+        assert rep.ok and rep.lhs_exact is None and rep.diff_valuation == 3
 
     def test_bridge(self):
         # K1 at (n, r) and K2 at (n + r, r) wrap the same exact ratio
